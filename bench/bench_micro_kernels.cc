@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/logging.h"
 #include "sparse/stats.h"
 
@@ -91,25 +93,31 @@ void BM_ReferenceSpGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceSpGemm)->Arg(1 << 12)->Arg(1 << 14);
 
-void BM_RowProductExpandMerge(benchmark::State& state) {
+void BM_ExpandMerge(benchmark::State& state) {
   const sparse::CsrMatrix a = MakeInput(state.range(0));
   for (auto _ : state) {
-    auto c = spgemm::RowProductExpandMerge(a, a);
+    auto c = spgemm::ExpandMerge(a, a);
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(state.iterations() * sparse::SpGemmFlops(a, a));
 }
-BENCHMARK(BM_RowProductExpandMerge)->Arg(1 << 12)->Arg(1 << 14);
+BENCHMARK(BM_ExpandMerge)->Arg(1 << 12)->Arg(1 << 14);
 
-void BM_OuterProductExpandMerge(benchmark::State& state) {
+// The same kernel over the full reorganizer's dispatch order (dominators,
+// normals, gathered blocks): the per-row rank sort is the only extra work.
+void BM_ExpandMergeReorganizerOrder(benchmark::State& state) {
   const sparse::CsrMatrix a = MakeInput(state.range(0));
+  const core::ReorganizerConfig config;
+  const spgemm::Workload w = spgemm::BuildWorkload(a, a);
+  const std::vector<sparse::Index> order =
+      core::BuildDispatchOrder(w, core::Classify(w, config), config);
   for (auto _ : state) {
-    auto c = spgemm::OuterProductExpandMerge(a, a);
+    auto c = spgemm::ExpandMerge(a, a, order);
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(state.iterations() * sparse::SpGemmFlops(a, a));
 }
-BENCHMARK(BM_OuterProductExpandMerge)->Arg(1 << 12)->Arg(1 << 14);
+BENCHMARK(BM_ExpandMergeReorganizerOrder)->Arg(1 << 12)->Arg(1 << 14);
 
 void BM_ReorganizerCompute(benchmark::State& state) {
   const sparse::CsrMatrix a = MakeInput(state.range(0));

@@ -1,7 +1,8 @@
 // Host-side parallel-scaling micro-bench for the functional
 // expansion/merge stack: wall-clock time and speedup vs --threads=1 for
-// the reference Gustavson spGEMM, the row-product and outer-product
-// engines, the CSR->CSC conversion, and the workload precalculation, on a
+// the reference Gustavson spGEMM, the shared expand/merge kernel in
+// natural order and in the reorganizer's dispatch order (planning
+// included), the CSR->CSC conversion, and the workload precalculation, on a
 // Zipf-skewed (power-law) and a banded (quasi-regular) generator at
 // default scale.
 //
@@ -24,6 +25,8 @@
 #include "bench/bench_util.h"
 #include "common/parallel.h"
 #include "common/timer.h"
+#include "core/block_reorganizer.h"
+#include "core/workload_classifier.h"
 #include "datasets/generators.h"
 #include "metrics/report.h"
 #include "sparse/csr_matrix.h"
@@ -103,14 +106,18 @@ int Run(int argc, char** argv) {
          auto c = sparse::ReferenceSpGemm(a, a);
          SPNET_CHECK(c.ok()) << c.status().ToString();
        }},
-      {"row_product",
+      {"expand_merge",
        [](const CsrMatrix& a) {
-         auto c = spgemm::RowProductExpandMerge(a, a);
+         auto c = spgemm::ExpandMerge(a, a);
          SPNET_CHECK(c.ok()) << c.status().ToString();
        }},
-      {"outer_product",
+      {"expand_merge_reorganizer_order",
        [](const CsrMatrix& a) {
-         auto c = spgemm::OuterProductExpandMerge(a, a);
+         const core::ReorganizerConfig config;
+         const spgemm::Workload w = spgemm::BuildWorkload(a, a);
+         const std::vector<sparse::Index> order =
+             core::BuildDispatchOrder(w, core::Classify(w, config), config);
+         auto c = spgemm::ExpandMerge(a, a, order);
          SPNET_CHECK(c.ok()) << c.status().ToString();
        }},
       {"csc_from_csr",

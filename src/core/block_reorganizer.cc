@@ -7,9 +7,9 @@
 #include "core/b_limiting.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
+#include "spgemm/functional.h"
 #include "spgemm/nnz_estimator.h"
 #include "spgemm/plan.h"
-#include "verify/fault_injection.h"
 
 namespace spnet {
 namespace core {
@@ -17,12 +17,8 @@ namespace core {
 using gpusim::KernelDesc;
 using gpusim::Phase;
 using gpusim::ThreadBlockDesc;
-using sparse::CscMatrix;
 using sparse::CsrMatrix;
 using sparse::Index;
-using sparse::Offset;
-using sparse::SpanView;
-using sparse::Value;
 using spgemm::kElementBytes;
 using spgemm::MakePairBlock;
 using spgemm::PairBlockParams;
@@ -123,6 +119,27 @@ Result<ReorderedInputs> BuildReorderedInputs(const CsrMatrix& a,
 }
 
 }  // namespace
+
+std::vector<Index> BuildDispatchOrder(const Workload& workload,
+                                      const Classification& classes,
+                                      const ReorganizerConfig& config,
+                                      spgemm::ExecContext* ctx) {
+  std::vector<Index> order = classes.dominators;
+  order.insert(order.end(), classes.normals.begin(), classes.normals.end());
+  if (!config.enable_gathering) {
+    order.insert(order.end(), classes.low_performers.begin(),
+                 classes.low_performers.end());
+    return order;
+  }
+  const GatherPlan gather =
+      BuildGatherPlan(workload, classes.low_performers, config, ctx);
+  for (const CombinedBlock& block : gather.blocks) {
+    order.insert(order.end(), block.pairs.begin(), block.pairs.end());
+  }
+  order.insert(order.end(), gather.ungathered.begin(),
+               gather.ungathered.end());
+  return order;
+}
 
 spgemm::EstimatorOptions EstimatorFromConfig(const ReorganizerConfig& config) {
   spgemm::EstimatorOptions options;
@@ -318,140 +335,13 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
 
 Result<CsrMatrix> BlockReorganizerSpGemm::ComputeCore(
     const CsrMatrix& a, const CsrMatrix& b, spgemm::ExecContext* ctx) const {
-  // The exact workload always backs execution: relocation cursors and
-  // expansion ranges index real buffers, so an estimate must never size
-  // them. The planning tier only chooses where the *classes* come from —
-  // scheduling fidelity with the estimated plan, at zero correctness risk
-  // (an estimated class can reorder expansion, never drop a product:
-  // every pair with work is provably inside some bin, see
-  // ClassifyEstimated).
   const Workload workload = [&] {
     metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
     return spgemm::BuildWorkload(a, b, ctx);
   }();
   const Classification classes = ClassifyTiered(a, b, workload, ctx);
-  const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();
-  const SplitPlan split =
-      config_.enable_splitting
-          ? BuildSplitPlan(workload, classes.dominators, config_, device, ctx)
-          : SplitPlan{};
-
-  metrics::TraceRecorder* trace = spgemm::TraceOf(ctx);
-  const int expand_span = trace == nullptr ? -1 : trace->Begin("expand");
-
-  // Relocation cursors from the precalculated row-wise C-hat sizes.
-  const Index rows = a.rows();
-  const Index cols = b.cols();
-  std::vector<Offset> chat_ptr(static_cast<size_t>(rows) + 1, 0);
-  for (Index r = 0; r < rows; ++r) {
-    chat_ptr[static_cast<size_t>(r) + 1] =
-        SatAddI64(chat_ptr[static_cast<size_t>(r)],
-                  workload.row_chat[static_cast<size_t>(r)]);
-  }
-  const Offset total = chat_ptr[static_cast<size_t>(rows)];
-  // The Ĉ buffers are the largest transient allocation in the pipeline;
-  // a fault here models expansion-phase OOM on the device.
-  SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteChatAlloc));
-  std::vector<Index> chat_cols(static_cast<size_t>(total));
-  std::vector<Value> chat_vals(static_cast<size_t>(total));
-  std::vector<Offset> cursor(chat_ptr.begin(), chat_ptr.end() - 1);
-
-  const CscMatrix a_csc = CscMatrix::FromCsr(a);
-  auto expand_pair_range = [&](Index pair, int64_t col_begin,
-                               int64_t col_end) {
-    const SpanView acol = a_csc.Col(pair);
-    const SpanView brow = b.Row(pair);
-    for (int64_t k = col_begin; k < col_end; ++k) {
-      const Index r = acol.indices[k];
-      const Value av = acol.values[k];
-      Offset& cur = cursor[static_cast<size_t>(r)];
-      for (Offset l = 0; l < brow.size; ++l) {
-        chat_cols[static_cast<size_t>(cur)] = brow.indices[l];
-        chat_vals[static_cast<size_t>(cur)] = av * brow.values[l];
-        ++cur;
-      }
-    }
-  };
-
-  // Dominators run through the split fragments via the mapper array —
-  // exactly what the GPU kernels dispatch — so the pointer-expansion
-  // transformation is exercised end to end.
-  if (config_.enable_splitting) {
-    const std::vector<Index> mapper = split.BuildMapper();
-    size_t fragment = 0;
-    for (const SplitVector& v : split.vectors) {
-      for (int f = 0; f < v.factor; ++f, ++fragment) {
-        const Index pair = mapper[fragment];
-        expand_pair_range(pair, v.offsets[static_cast<size_t>(f)],
-                          v.offsets[static_cast<size_t>(f) + 1]);
-      }
-    }
-  } else {
-    for (Index pair : classes.dominators) {
-      expand_pair_range(pair, 0,
-                        workload.a_col_nnz[static_cast<size_t>(pair)]);
-    }
-  }
-  for (Index pair : classes.normals) {
-    expand_pair_range(pair, 0, workload.a_col_nnz[static_cast<size_t>(pair)]);
-  }
-  // Gathered blocks change scheduling, not results; iterate in gather
-  // order when enabled to mirror dispatch order.
-  if (config_.enable_gathering) {
-    const GatherPlan gather =
-        BuildGatherPlan(workload, classes.low_performers, config_, ctx);
-    for (const CombinedBlock& block : gather.blocks) {
-      for (Index pair : block.pairs) {
-        expand_pair_range(pair, 0,
-                          workload.a_col_nnz[static_cast<size_t>(pair)]);
-      }
-    }
-    for (Index pair : gather.ungathered) {
-      expand_pair_range(pair, 0,
-                        workload.a_col_nnz[static_cast<size_t>(pair)]);
-    }
-  } else {
-    for (Index pair : classes.low_performers) {
-      expand_pair_range(pair, 0,
-                        workload.a_col_nnz[static_cast<size_t>(pair)]);
-    }
-  }
-  if (trace != nullptr) trace->End(expand_span);
-  spgemm::AddCounter(ctx, "expand.products", static_cast<int64_t>(total));
-  const int merge_span = trace == nullptr ? -1 : trace->Begin("merge");
-
-  // Merge: row-wise dense accumulation, first-touch order.
-  std::vector<Value> acc(static_cast<size_t>(cols), 0.0);
-  std::vector<bool> touched(static_cast<size_t>(cols), false);
-  std::vector<Index> scratch;
-  std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
-  std::vector<Index> out_idx;
-  std::vector<Value> out_val;
-  for (Index r = 0; r < rows; ++r) {
-    const Offset begin = chat_ptr[static_cast<size_t>(r)];
-    const Offset end = cursor[static_cast<size_t>(r)];
-    scratch.clear();
-    for (Offset k = begin; k < end; ++k) {
-      const Index c = chat_cols[static_cast<size_t>(k)];
-      if (!touched[static_cast<size_t>(c)]) {
-        touched[static_cast<size_t>(c)] = true;
-        scratch.push_back(c);
-      }
-      acc[static_cast<size_t>(c)] += chat_vals[static_cast<size_t>(k)];
-    }
-    for (Index c : scratch) {
-      out_idx.push_back(c);
-      out_val.push_back(acc[static_cast<size_t>(c)]);
-      acc[static_cast<size_t>(c)] = 0.0;
-      touched[static_cast<size_t>(c)] = false;
-    }
-    ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(out_idx.size());
-  }
-  if (trace != nullptr) trace->End(merge_span);
-  spgemm::AddCounter(ctx, "merge.output_nnz",
-                     static_cast<int64_t>(out_idx.size()));
-  return CsrMatrix::FromParts(rows, cols, std::move(ptr), std::move(out_idx),
-                              std::move(out_val));
+  return spgemm::ExpandMerge(
+      a, b, BuildDispatchOrder(workload, classes, config_, ctx), ctx);
 }
 
 Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/b_gathering.h"
 #include "core/b_splitting.h"
@@ -57,9 +58,10 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
                                       const gpusim::DeviceSpec& device,
                                       spgemm::ExecContext* ctx) const override;
 
-  /// Host execution that genuinely routes the expansion through the split
-  /// fragments and the mapper array, so the transformation logic is
-  /// validated end to end (tests compare against ReferenceSpGemm).
+  /// Host execution: the shared expand/merge kernel over the
+  /// reorganizer's dispatch order (BuildDispatchOrder), so classification
+  /// and gathering are validated end to end (tests compare against
+  /// ReferenceSpGemm).
   Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
                                         const sparse::CsrMatrix& b,
                                         spgemm::ExecContext* ctx) const override;
@@ -97,9 +99,11 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
                                       int64_t nnz_a,
                                       spgemm::ExecContext* ctx) const;
 
-  /// The classify/split/gather/expand/merge pipeline on inputs as given;
-  /// ComputeImpl wraps it with the config's reorder pre-pass (permute A's
-  /// rows and B's columns, compute, invert on the output).
+  /// The classify/gather/expand/merge pipeline on inputs as given.
+  /// Scheduling classes may come from the estimated tier: they only order
+  /// the dispatch, and the kernel sizes every buffer from exact row
+  /// counts. ComputeImpl wraps it with the config's reorder pre-pass
+  /// (permute A's rows and B's columns, compute, invert on the output).
   Result<sparse::CsrMatrix> ComputeCore(const sparse::CsrMatrix& a,
                                         const sparse::CsrMatrix& b,
                                         spgemm::ExecContext* ctx) const;
@@ -107,6 +111,17 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
   ReorganizerConfig config_;
   std::string name_;
 };
+
+/// The reorganizer's pair dispatch order, the input of the host kernel
+/// (spgemm::ExpandMerge): dominators, then normals, then the pairs of each
+/// combined block and the ungathered pairs (the low performers in class
+/// order when gathering is off). B-Splitting is absent on purpose: a split
+/// vector's fragments are dispatched consecutively and in dominator order,
+/// so every output row meets its pairs in exactly the unsplit order, on
+/// any device.
+std::vector<sparse::Index> BuildDispatchOrder(
+    const spgemm::Workload& workload, const Classification& classes,
+    const ReorganizerConfig& config, spgemm::ExecContext* ctx = nullptr);
 
 /// Convenience factory used by the benchmark suite and the CLI. Validates
 /// `config` first (see ReorganizerConfig::Validate) and refuses to build

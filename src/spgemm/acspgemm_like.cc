@@ -68,8 +68,8 @@ class AcSpGemmLike : public SpGemmAlgorithm {
   }
 
   Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext*) const override {
-    return RowProductExpandMerge(a, b);
+                                ExecContext* ctx) const override {
+    return ExpandMerge(a, b, {}, ctx);
   }
 };
 

@@ -100,10 +100,10 @@ class CuspLikeSpGemm : public SpGemmAlgorithm {
   }
 
   Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext*) const override {
+                                ExecContext* ctx) const override {
     // The ESC result equals the plain product; the host path shares the
     // expansion structure.
-    return RowProductExpandMerge(a, b);
+    return ExpandMerge(a, b, {}, ctx);
   }
 };
 

@@ -91,10 +91,10 @@ class CusparseLikeSpGemm : public SpGemmAlgorithm {
   }
 
   Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext*) const override {
+                                ExecContext* ctx) const override {
     // Functionally the two-phase scheme produces the plain product; the
-    // row-product host path shares the expansion structure.
-    return RowProductExpandMerge(a, b);
+    // shared kernel in natural order expands row by row the same way.
+    return ExpandMerge(a, b, {}, ctx);
   }
 };
 

@@ -1,18 +1,22 @@
 #include "spgemm/functional.h"
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/math_util.h"
 #include "common/parallel.h"
 #include "sparse/row_scratch.h"
 #include "sparse/stats.h"
+#include "spgemm/exec_context.h"
+#include "verify/fault_injection.h"
 
 namespace spnet {
 namespace spgemm {
 
-using sparse::CscMatrix;
 using sparse::CsrMatrix;
 using sparse::Index;
 using sparse::Offset;
@@ -32,305 +36,235 @@ Status CheckDims(const CsrMatrix& a, const CsrMatrix& b) {
   return Status::Ok();
 }
 
-/// Merges an intermediate element range [0, count) of (col, val) pairs
-/// into `out_idx`/`out_val` using the dense accumulator in `s`; emits in
-/// first-touch order (unordered CSR). Returns the number of merged
-/// entries. The caller guarantees the output slice can hold them.
-Offset MergeRangeInto(const Index* cols, const Value* vals, Offset count,
-                      RowScratch* s, Index* out_idx, Value* out_val) {
+/// Dispatch rank of every pair: its position in `pair_order`. Pairs the
+/// order omits share the rank after every listed pair, so sorting a row's
+/// entries by (rank, position) keeps them in stored order.
+Result<std::vector<Index>> PairRanks(std::span<const Index> pair_order,
+                                     Index pairs) {
+  if (pair_order.size() > static_cast<size_t>(pairs)) {
+    return Status::InvalidArgument("pair order lists " +
+                                   std::to_string(pair_order.size()) +
+                                   " pairs, more than the " +
+                                   std::to_string(pairs) + " that exist");
+  }
+  std::vector<Index> rank(static_cast<size_t>(pairs), -1);
+  for (size_t pos = 0; pos < pair_order.size(); ++pos) {
+    const Index pair = pair_order[pos];
+    if (pair < 0 || pair >= pairs || rank[static_cast<size_t>(pair)] >= 0) {
+      return Status::InvalidArgument("pair order entry " +
+                                     std::to_string(pair) +
+                                     " is out of range or repeated");
+    }
+    rank[static_cast<size_t>(pair)] = static_cast<Index>(pos);
+  }
+  const Index unlisted = static_cast<Index>(pair_order.size());
+  for (Index& r : rank) {
+    if (r < 0) r = unlisted;
+  }
+  return rank;
+}
+
+/// Row boundaries of about eight chunks per thread holding equal C-hat
+/// element counts (plus one unit per row, so runs of empty rows spread
+/// too). Every pass walks the same chunks; a row is never split, so which
+/// thread runs a chunk cannot change the result.
+std::vector<Index> BalancedRowChunks(const std::vector<Offset>& chat_ptr,
+                                     int threads) {
+  const Index rows = static_cast<Index>(chat_ptr.size() - 1);
+  const int64_t chunks = std::clamp<int64_t>(int64_t{threads} * 8, 1,
+                                             std::max<int64_t>(rows, 1));
+  const int64_t step =
+      CeilDiv(chat_ptr[static_cast<size_t>(rows)] + rows, chunks);
+  std::vector<Index> bounds(static_cast<size_t>(chunks) + 1, rows);
+  bounds[0] = 0;
+  Index r = 0;
+  for (int64_t c = 1; c < chunks; ++c) {
+    while (r < rows && chat_ptr[static_cast<size_t>(r)] + r < step * c) ++r;
+    bounds[static_cast<size_t>(c)] = r;
+  }
+  return bounds;
+}
+
+/// Runs `fn(row, thread_index)` for every row, chunk by chunk.
+template <typename RowFn>
+Status ForEachRow(ThreadPool& pool, const std::vector<Index>& bounds,
+                  const RowFn& fn) {
+  return pool.ParallelFor(
+      0, static_cast<int64_t>(bounds.size()) - 1, 1,
+      [&](int64_t chunk_begin, int64_t chunk_end, int thread_index) {
+        for (int64_t c = chunk_begin; c < chunk_end; ++c) {
+          for (Index r = bounds[static_cast<size_t>(c)];
+               r < bounds[static_cast<size_t>(c) + 1]; ++r) {
+            fn(r, thread_index);
+          }
+        }
+        return Status::Ok();
+      });
+}
+
+/// Merges the `count` (col, val) elements at `cols`/`vals` with the dense
+/// accumulator in `s` and writes the merged row back over their prefix,
+/// in first-touch order. Returns the merged length. The first-touch
+/// column list grows over the front of `cols` while it is read; its end
+/// never passes the read position, so no unread element is overwritten.
+Offset MergeInPlace(Index* cols, Value* vals, Offset count, RowScratch* s) {
+  if (count <= 1) return count;
+  Offset merged = 0;
   for (Offset k = 0; k < count; ++k) {
     const Index c = cols[k];
     if (!s->touched[static_cast<size_t>(c)]) {
       s->touched[static_cast<size_t>(c)] = 1;
-      s->touched_cols.push_back(c);
+      cols[merged++] = c;
     }
     s->acc[static_cast<size_t>(c)] += vals[k];
   }
-  const Offset merged = static_cast<Offset>(s->touched_cols.size());
-  Offset slot = 0;
-  for (Index c : s->touched_cols) {
-    out_idx[static_cast<size_t>(slot)] = c;
-    out_val[static_cast<size_t>(slot)] = s->acc[static_cast<size_t>(c)];
-    ++slot;
+  for (Offset slot = 0; slot < merged; ++slot) {
+    const size_t c = static_cast<size_t>(cols[slot]);
+    vals[slot] = s->acc[c];
+    s->acc[c] = 0.0;
+    s->touched[c] = 0;
   }
-  s->ResetTouched();
   return merged;
 }
 
-/// Number of distinct columns in an intermediate element range (the
-/// symbolic half of MergeRangeInto).
-Offset CountDistinct(const Index* cols, Offset count, RowScratch* s) {
-  for (Offset k = 0; k < count; ++k) {
-    const Index c = cols[k];
-    if (!s->touched[static_cast<size_t>(c)]) {
-      s->touched[static_cast<size_t>(c)] = 1;
-      s->touched_cols.push_back(c);
-    }
-  }
-  const Offset distinct = static_cast<Offset>(s->touched_cols.size());
-  s->ResetTouched();
-  return distinct;
-}
-
-/// Expands row r of A*B into `exp_cols`/`exp_vals` (cleared first). The
-/// append order — A's row entries in column order, each times B's row in
-/// column order — is also the order the outer product's column-major
-/// scatter fills this row's C-hat region, because A's sorted rows make
-/// both traversals visit the inner dimension in increasing order.
-void ExpandRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
-               int64_t row_flops, std::vector<Index>* exp_cols,
-               std::vector<Value>* exp_vals) {
-  exp_cols->clear();
-  exp_vals->clear();
-  // Reserving the exact intermediate size (from SpGemmRowFlops) replaces
-  // the repeated push_back reallocation the serial code used to pay.
-  exp_cols->reserve(static_cast<size_t>(row_flops));
-  exp_vals->reserve(static_cast<size_t>(row_flops));
-  const SpanView arow = a.Row(r);
-  for (Offset k = 0; k < arow.size; ++k) {
-    const SpanView brow = b.Row(arow.indices[k]);
-    const Value av = arow.values[k];
-    for (Offset l = 0; l < brow.size; ++l) {
-      exp_cols->push_back(brow.indices[l]);
-      exp_vals->push_back(av * brow.values[l]);
-    }
-  }
-}
-
-/// Counts the distinct output columns of row r without materializing the
-/// expansion (pass 1 of the two-pass scheme).
-Offset SymbolicRowNnz(const CsrMatrix& a, const CsrMatrix& b, Index r,
-                      RowScratch* s) {
-  const SpanView arow = a.Row(r);
-  for (Offset k = 0; k < arow.size; ++k) {
-    const SpanView brow = b.Row(arow.indices[k]);
-    for (Offset l = 0; l < brow.size; ++l) {
-      const Index c = brow.indices[l];
-      if (!s->touched[static_cast<size_t>(c)]) {
-        s->touched[static_cast<size_t>(c)] = 1;
-        s->touched_cols.push_back(c);
-      }
-    }
-  }
-  const Offset distinct = static_cast<Offset>(s->touched_cols.size());
-  s->ResetTouched();
-  return distinct;
+/// Resizes the empty `v` to `n` zeroed elements without a serial
+/// page-fault storm: the storage is reserved, the pool's workers first
+/// touch one byte per page of it, and resize()'s zero fill then runs at
+/// memory bandwidth. The touched bytes are raw allocated storage; no
+/// element lives there until resize() value-initialises it.
+template <typename T>
+void ResizeFirstTouchedByPool(ThreadPool& pool, size_t n, std::vector<T>* v) {
+  v->reserve(n);
+  unsigned char* bytes = reinterpret_cast<unsigned char*>(v->data());
+  constexpr int64_t kPageBytes = 4096;
+  const int64_t pages =
+      CeilDiv(static_cast<int64_t>(n * sizeof(T)), kPageBytes);
+  SPNET_CHECK_OK(pool.ParallelFor(
+      0, pages, GrainForItems(pages, pool.threads()),
+      [&](int64_t page_begin, int64_t page_end, int) {
+        for (int64_t p = page_begin; p < page_end; ++p) {
+          bytes[p * kPageBytes] = 0;
+        }
+        return Status::Ok();
+      }));
+  v->resize(n);
 }
 
 }  // namespace
 
-Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
-                                        const CsrMatrix& b) {
-  SPNET_RETURN_IF_ERROR(CheckDims(a, b));
-  const Index rows = a.rows();
-  const Index cols = b.cols();
-  ThreadPool& pool = GlobalThreadPool();
-
-  const std::vector<int64_t> row_flops = sparse::SpGemmRowFlops(a, b);
-  std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
-
-  if (pool.threads() == 1) {
-    // Serial path: single pass, rows appended as they complete.
-    RowScratch s;
-    s.EnsureCols(cols);
-    std::vector<Index> out_idx;
-    std::vector<Value> out_val;
-    std::vector<Index> exp_cols;
-    std::vector<Value> exp_vals;
-    for (Index r = 0; r < rows; ++r) {
-      ExpandRow(a, b, r, row_flops[static_cast<size_t>(r)], &exp_cols,
-                &exp_vals);
-      const size_t base = out_idx.size();
-      out_idx.resize(base + exp_cols.size());
-      out_val.resize(base + exp_cols.size());
-      const Offset merged = MergeRangeInto(
-          exp_cols.data(), exp_vals.data(),
-          static_cast<Offset>(exp_cols.size()), &s, out_idx.data() + base,
-          out_val.data() + base);
-      out_idx.resize(base + static_cast<size_t>(merged));
-      out_val.resize(base + static_cast<size_t>(merged));
-      ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(out_idx.size());
-    }
-    return CsrMatrix::FromParts(rows, cols, std::move(ptr),
-                                std::move(out_idx), std::move(out_val));
+Result<std::vector<Offset>> ChatOffsets(const std::vector<int64_t>& row_chat) {
+  std::vector<Offset> chat_ptr(row_chat.size() + 1, 0);
+  bool saturated = false;
+  for (size_t r = 0; r < row_chat.size(); ++r) {
+    chat_ptr[r + 1] = SatAddI64(chat_ptr[r], row_chat[r], &saturated);
   }
-
-  // Parallel path: two-pass (size, scan, fill) with per-thread scratch.
-  // Every row is expanded and merged in the same element order as the
-  // serial path and written at a scan-fixed offset, so the result is
-  // bit-identical for any thread count.
-  const int64_t grain = GrainForItems(rows, pool.threads());
-  RowScratchArena arena(pool.threads(), cols);
-
-  SPNET_CHECK_OK(pool.ParallelFor(0, rows, grain,
-                   [&](int64_t row_begin, int64_t row_end, int thread_index) {
-                     RowScratch& s = arena.at(thread_index);
-                     for (int64_t r = row_begin; r < row_end; ++r) {
-                       ptr[static_cast<size_t>(r) + 1] =
-                           SymbolicRowNnz(a, b, static_cast<Index>(r), &s);
-                     }
-                     return Status::Ok();
-                   }));
-  for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
-    ptr[r + 1] += ptr[r];
+  constexpr size_t kElementBytes = sizeof(Index) + sizeof(Value);
+  if (saturated || static_cast<uint64_t>(chat_ptr.back()) >
+                       std::numeric_limits<size_t>::max() / kElementBytes) {
+    return Status::ResourceExhausted(
+        saturated ? "C-hat element count overflows int64"
+                  : "C-hat of " + std::to_string(chat_ptr.back()) +
+                        " elements does not fit in memory");
   }
-  const Offset total = ptr[static_cast<size_t>(rows)];
-
-  std::vector<Index> out_idx(static_cast<size_t>(total));
-  std::vector<Value> out_val(static_cast<size_t>(total));
-  std::vector<std::vector<Index>> exp_cols(
-      static_cast<size_t>(pool.threads()));
-  std::vector<std::vector<Value>> exp_vals(
-      static_cast<size_t>(pool.threads()));
-  SPNET_CHECK_OK(pool.ParallelFor(
-      0, rows, grain,
-      [&](int64_t row_begin, int64_t row_end, int thread_index) {
-        RowScratch& s = arena.at(thread_index);
-        std::vector<Index>& ec = exp_cols[static_cast<size_t>(thread_index)];
-        std::vector<Value>& ev = exp_vals[static_cast<size_t>(thread_index)];
-        for (int64_t r = row_begin; r < row_end; ++r) {
-          ExpandRow(a, b, static_cast<Index>(r),
-                    row_flops[static_cast<size_t>(r)], &ec, &ev);
-          const Offset base = ptr[static_cast<size_t>(r)];
-          MergeRangeInto(ec.data(), ev.data(),
-                         static_cast<Offset>(ec.size()), &s,
-                         out_idx.data() + base, out_val.data() + base);
-        }
-        return Status::Ok();
-      }));
-
-  return CsrMatrix::FromParts(rows, cols, std::move(ptr), std::move(out_idx),
-                              std::move(out_val));
+  return chat_ptr;
 }
 
-Result<CsrMatrix> OuterProductExpandMerge(const CsrMatrix& a,
-                                          const CsrMatrix& b) {
+Result<CsrMatrix> ExpandMerge(const CsrMatrix& a, const CsrMatrix& b,
+                              std::span<const Index> pair_order,
+                              ExecContext* ctx) {
   SPNET_RETURN_IF_ERROR(CheckDims(a, b));
+  std::vector<Index> rank;
+  if (!pair_order.empty()) {
+    SPNET_ASSIGN_OR_RETURN(rank, PairRanks(pair_order, a.cols()));
+  }
   const Index rows = a.rows();
   const Index cols = b.cols();
   ThreadPool& pool = GlobalThreadPool();
 
-  // Row-wise C-hat sizes drive the relocation cursors (the paper
-  // precalculates exactly this).
-  const std::vector<int64_t> row_chat = sparse::SpGemmRowFlops(a, b);
-  std::vector<Offset> chat_ptr(static_cast<size_t>(rows) + 1, 0);
-  for (Index r = 0; r < rows; ++r) {
-    chat_ptr[static_cast<size_t>(r) + 1] = SatAddI64(
-        chat_ptr[static_cast<size_t>(r)], row_chat[static_cast<size_t>(r)]);
-  }
-  const Offset total = chat_ptr[static_cast<size_t>(rows)];
+  // Relocation regions from the row-wise C-hat sizes (the paper
+  // precalculates exactly this), then one allocation. The storage is left
+  // uninitialised: the expansion overwrites every element, so the
+  // workers, not a serial memset, take the first-touch page faults.
+  SPNET_ASSIGN_OR_RETURN(const std::vector<Offset> chat_ptr,
+                         ChatOffsets(sparse::SpGemmRowFlops(a, b)));
+  const Offset total = chat_ptr.back();
+  // The C-hat buffers are the largest transient allocation in the
+  // pipeline; a fault here models expansion-phase OOM on the device.
+  SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteChatAlloc));
+  auto chat_cols =
+      std::make_unique_for_overwrite<Index[]>(static_cast<size_t>(total));
+  auto chat_vals =
+      std::make_unique_for_overwrite<Value[]>(static_cast<size_t>(total));
+  const std::vector<Index> chunks =
+      BalancedRowChunks(chat_ptr, pool.threads());
 
-  std::vector<Index> chat_cols(static_cast<size_t>(total));
-  std::vector<Value> chat_vals(static_cast<size_t>(total));
-
-  if (pool.threads() == 1) {
-    // Serial expansion, pair by pair: pair i = (column i of A) x (row i of
-    // B); every product of the pair lands in the C-hat region of its
-    // output row.
-    std::vector<Offset> cursor(chat_ptr.begin(), chat_ptr.end() - 1);
-    const CscMatrix a_csc = CscMatrix::FromCsr(a);
-    for (Index i = 0; i < a.cols(); ++i) {
-      const SpanView acol = a_csc.Col(i);
-      if (acol.size == 0 || i >= b.rows()) continue;
-      const SpanView brow = b.Row(i);
-      if (brow.size == 0) continue;
-      for (Offset k = 0; k < acol.size; ++k) {
-        const Index r = acol.indices[k];
-        const Value av = acol.values[k];
-        Offset& cur = cursor[static_cast<size_t>(r)];
-        for (Offset l = 0; l < brow.size; ++l) {
-          chat_cols[static_cast<size_t>(cur)] = brow.indices[l];
-          chat_vals[static_cast<size_t>(cur)] = av * brow.values[l];
-          ++cur;
-        }
+  {
+    // Expansion: row r's region receives, pair by pair in dispatch order,
+    // A(r,i) times row i of B. Writing row by row is the column-major
+    // scatter's result without its cursor races.
+    metrics::ScopedSpan span(TraceOf(ctx), "expand");
+    std::vector<std::vector<std::pair<Index, Offset>>> by_rank(
+        rank.empty() ? 0 : static_cast<size_t>(pool.threads()));
+    const std::vector<Offset>& a_ptr = a.ptr();
+    const Index* a_idx = a.indices().data();
+    const Value* a_val = a.values().data();
+    SPNET_CHECK_OK(ForEachRow(pool, chunks, [&](Index r, int thread_index) {
+      Offset cur = chat_ptr[static_cast<size_t>(r)];
+      auto expand_pair = [&](Offset k) {
+        const SpanView brow = b.Row(a_idx[k]);
+        const Value av = a_val[k];
+        std::copy_n(brow.indices, brow.size, chat_cols.get() + cur);
+        Value* out = chat_vals.get() + cur;
+        for (Offset l = 0; l < brow.size; ++l) out[l] = av * brow.values[l];
+        cur += brow.size;
+      };
+      const Offset begin = a_ptr[static_cast<size_t>(r)];
+      const Offset end = a_ptr[static_cast<size_t>(r) + 1];
+      if (rank.empty()) {
+        for (Offset k = begin; k < end; ++k) expand_pair(k);
+        return;
       }
-    }
-
-    // Serial merge: row-wise dense accumulation over the relocated
-    // intermediate, growing the output as rows complete.
-    RowScratch s;
-    s.EnsureCols(cols);
-    std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
-    std::vector<Index> out_idx;
-    std::vector<Value> out_val;
-    for (Index r = 0; r < rows; ++r) {
-      const Offset begin = chat_ptr[static_cast<size_t>(r)];
-      const Offset count = chat_ptr[static_cast<size_t>(r) + 1] - begin;
-      const size_t base = out_idx.size();
-      out_idx.resize(base + static_cast<size_t>(count));
-      out_val.resize(base + static_cast<size_t>(count));
-      const Offset merged = MergeRangeInto(
-          chat_cols.data() + begin, chat_vals.data() + begin, count, &s,
-          out_idx.data() + base, out_val.data() + base);
-      out_idx.resize(base + static_cast<size_t>(merged));
-      out_val.resize(base + static_cast<size_t>(merged));
-      ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(out_idx.size());
-    }
-    return CsrMatrix::FromParts(rows, cols, std::move(ptr),
-                                std::move(out_idx), std::move(out_val));
+      std::vector<std::pair<Index, Offset>>& entries =
+          by_rank[static_cast<size_t>(thread_index)];
+      entries.clear();
+      for (Offset k = begin; k < end; ++k) {
+        entries.emplace_back(rank[static_cast<size_t>(a_idx[k])], k);
+      }
+      std::sort(entries.begin(), entries.end());
+      for (const auto& entry : entries) expand_pair(entry.second);
+    }));
   }
+  AddCounter(ctx, "expand.products", total);
 
-  // Parallel expansion: each output row's C-hat region is filled by one
-  // thread. Within a row the serial column-major scatter appends products
-  // in increasing inner-dimension order, which is exactly the order
-  // ExpandRow produces (A's rows are column-sorted), so the relocated
-  // intermediate is bit-identical to the serial scatter.
-  const int64_t grain = GrainForItems(rows, pool.threads());
-  SPNET_CHECK_OK(pool.ParallelFor(
-      0, rows, grain, [&](int64_t row_begin, int64_t row_end, int) {
-        for (int64_t r = row_begin; r < row_end; ++r) {
-          Offset cur = chat_ptr[static_cast<size_t>(r)];
-          const SpanView arow = a.Row(static_cast<Index>(r));
-          for (Offset k = 0; k < arow.size; ++k) {
-            const SpanView brow = b.Row(arow.indices[k]);
-            const Value av = arow.values[k];
-            for (Offset l = 0; l < brow.size; ++l) {
-              chat_cols[static_cast<size_t>(cur)] = brow.indices[l];
-              chat_vals[static_cast<size_t>(cur)] = av * brow.values[l];
-              ++cur;
-            }
-          }
-        }
-        return Status::Ok();
-      }));
-
-  // Parallel merge: two-pass (size, scan, fill) over the C-hat regions.
-  RowScratchArena arena(pool.threads(), cols);
   std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
-  SPNET_CHECK_OK(pool.ParallelFor(0, rows, grain,
-                   [&](int64_t row_begin, int64_t row_end, int thread_index) {
-                     RowScratch& s = arena.at(thread_index);
-                     for (int64_t r = row_begin; r < row_end; ++r) {
-                       const Offset begin = chat_ptr[static_cast<size_t>(r)];
-                       const Offset count =
-                           chat_ptr[static_cast<size_t>(r) + 1] - begin;
-                       ptr[static_cast<size_t>(r) + 1] =
-                           CountDistinct(chat_cols.data() + begin, count, &s);
-                     }
-                     return Status::Ok();
-                   }));
-  for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
-    ptr[r + 1] += ptr[r];
+  std::vector<Index> out_idx;
+  std::vector<Value> out_val;
+  {
+    // Merge each region in place, then one scan and one parallel
+    // compaction produce the exact CSR.
+    metrics::ScopedSpan span(TraceOf(ctx), "merge");
+    RowScratchArena arena(pool.threads(), cols);
+    SPNET_CHECK_OK(ForEachRow(pool, chunks, [&](Index r, int thread_index) {
+      const Offset begin = chat_ptr[static_cast<size_t>(r)];
+      ptr[static_cast<size_t>(r) + 1] =
+          MergeInPlace(chat_cols.get() + begin, chat_vals.get() + begin,
+                       chat_ptr[static_cast<size_t>(r) + 1] - begin,
+                       &arena.at(thread_index));
+    }));
+    for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
+      ptr[r + 1] += ptr[r];
+    }
+    ResizeFirstTouchedByPool(pool, static_cast<size_t>(ptr.back()), &out_idx);
+    ResizeFirstTouchedByPool(pool, static_cast<size_t>(ptr.back()), &out_val);
+    SPNET_CHECK_OK(ForEachRow(pool, chunks, [&](Index r, int) {
+      const Offset from = chat_ptr[static_cast<size_t>(r)];
+      const Offset to = ptr[static_cast<size_t>(r)];
+      const Offset n = ptr[static_cast<size_t>(r) + 1] - to;
+      std::copy_n(chat_cols.get() + from, n, out_idx.data() + to);
+      std::copy_n(chat_vals.get() + from, n, out_val.data() + to);
+    }));
   }
-  const Offset out_total = ptr[static_cast<size_t>(rows)];
-
-  std::vector<Index> out_idx(static_cast<size_t>(out_total));
-  std::vector<Value> out_val(static_cast<size_t>(out_total));
-  SPNET_CHECK_OK(pool.ParallelFor(
-      0, rows, grain,
-      [&](int64_t row_begin, int64_t row_end, int thread_index) {
-        RowScratch& s = arena.at(thread_index);
-        for (int64_t r = row_begin; r < row_end; ++r) {
-          const Offset begin = chat_ptr[static_cast<size_t>(r)];
-          const Offset count = chat_ptr[static_cast<size_t>(r) + 1] - begin;
-          const Offset base = ptr[static_cast<size_t>(r)];
-          MergeRangeInto(chat_cols.data() + begin, chat_vals.data() + begin,
-                         count, &s, out_idx.data() + base,
-                         out_val.data() + base);
-        }
-        return Status::Ok();
-      }));
-
+  AddCounter(ctx, "merge.output_nnz", ptr.back());
   return CsrMatrix::FromParts(rows, cols, std::move(ptr), std::move(out_idx),
                               std::move(out_val));
 }

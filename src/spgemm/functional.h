@@ -1,25 +1,49 @@
 #ifndef SPNET_SPGEMM_FUNCTIONAL_H_
 #define SPNET_SPGEMM_FUNCTIONAL_H_
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "common/status.h"
 #include "sparse/csr_matrix.h"
 
 namespace spnet {
 namespace spgemm {
 
-/// Host execution of the row-product scheme: each output row expands its
-/// partial products into a row buffer, then merges them with a dense
-/// accumulator (Gustavson). Produces unordered CSR rows, like the paper's
-/// kernels.
-Result<sparse::CsrMatrix> RowProductExpandMerge(const sparse::CsrMatrix& a,
-                                                const sparse::CsrMatrix& b);
+struct ExecContext;
 
-/// Host execution of the outer-product scheme: the whole intermediate
-/// matrix C-hat is materialized pair by pair (column i of A times row i of
-/// B), relocated row-major via per-row cursors, then merged row-wise.
-/// Materializes flops(A,B) elements; intended for tests and moderate sizes.
-Result<sparse::CsrMatrix> OuterProductExpandMerge(const sparse::CsrMatrix& a,
-                                                  const sparse::CsrMatrix& b);
+/// Row-wise C-hat region offsets: the prefix sum of `row_chat` (length
+/// rows + 1). ResourceExhausted when the total saturates int64 or its
+/// (column, value) storage would not fit in size_t bytes, so a caller
+/// never allocates from a saturated lower bound.
+Result<std::vector<sparse::Offset>> ChatOffsets(
+    const std::vector<int64_t>& row_chat);
+
+/// The host numeric kernel every algorithm's Compute runs: outer-product
+/// expansion over a pair dispatch order, relocation into row-wise C-hat
+/// regions, and an in-place row-wise merge.
+///
+/// `pair_order` lists A's columns (B's rows) in dispatch order. Within
+/// each output row, products are laid out pair by pair in that order, and
+/// the merge accumulates them in layout order and emits columns in
+/// first-touch order (unordered CSR, like the paper's kernels). Pairs the
+/// order omits follow every listed pair; an empty order is the natural
+/// order, A's rows as stored (increasing pair index for sorted rows),
+/// which is also the row-product expansion order. InvalidArgument for an
+/// out-of-range or repeated pair.
+///
+/// C-hat is sized once from the row-wise counts (no symbolic pass),
+/// first touched by the pool's workers, merged in place and compacted
+/// into exact CSR. Every row is produced by one thread in a fixed order,
+/// so the result is bit-identical for any thread count. Records the
+/// "expand" and "merge" spans plus the expand.products and
+/// merge.output_nnz counters on `ctx`. The core.chat.alloc fault site
+/// guards the C-hat allocation.
+Result<sparse::CsrMatrix> ExpandMerge(
+    const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
+    std::span<const sparse::Index> pair_order = {},
+    ExecContext* ctx = nullptr);
 
 }  // namespace spgemm
 }  // namespace spnet

@@ -60,8 +60,8 @@ class MklLikeSpGemm : public SpGemmAlgorithm {
   }
 
   Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext*) const override {
-    return RowProductExpandMerge(a, b);
+                                ExecContext* ctx) const override {
+    return ExpandMerge(a, b, {}, ctx);
   }
 };
 

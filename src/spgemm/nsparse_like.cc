@@ -93,10 +93,10 @@ class NsparseLike : public SpGemmAlgorithm {
   }
 
   Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext*) const override {
+                                ExecContext* ctx) const override {
     // A hash-accumulated product equals the plain product; the host path
     // shares the row-centric structure.
-    return RowProductExpandMerge(a, b);
+    return ExpandMerge(a, b, {}, ctx);
   }
 };
 

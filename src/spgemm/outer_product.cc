@@ -54,8 +54,8 @@ Result<SpGemmPlan> OuterProductSpGemm::PlanImpl(const CsrMatrix& a,
 
 Result<CsrMatrix> OuterProductSpGemm::ComputeImpl(const CsrMatrix& a,
                                                   const CsrMatrix& b,
-                                                  ExecContext*) const {
-  return OuterProductExpandMerge(a, b);
+                                                  ExecContext* ctx) const {
+  return ExpandMerge(a, b, {}, ctx);
 }
 
 std::unique_ptr<SpGemmAlgorithm> MakeOuterProduct() {

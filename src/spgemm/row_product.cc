@@ -196,8 +196,8 @@ Result<SpGemmPlan> RowProductSpGemm::PlanImpl(const CsrMatrix& a,
 
 Result<CsrMatrix> RowProductSpGemm::ComputeImpl(const CsrMatrix& a,
                                                 const CsrMatrix& b,
-                                                ExecContext*) const {
-  return RowProductExpandMerge(a, b);
+                                                ExecContext* ctx) const {
+  return ExpandMerge(a, b, {}, ctx);
 }
 
 std::unique_ptr<SpGemmAlgorithm> MakeRowProduct() {

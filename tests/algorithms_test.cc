@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/suite.h"
 #include "datasets/generators.h"
@@ -116,15 +118,61 @@ TEST_P(RectangularProductTest, AbMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, RectangularProductTest,
                          ::testing::Range(0, 7));
 
-TEST(FunctionalTest, RowAndOuterAgreeOnEmptyMatrix) {
+TEST(FunctionalTest, ExpandMergeOnEmptyMatrix) {
   sparse::CooMatrix coo(16, 16);
   auto a = CsrMatrix::FromCoo(coo);
   ASSERT_TRUE(a.ok());
-  auto row = RowProductExpandMerge(*a, *a);
-  auto outer = OuterProductExpandMerge(*a, *a);
-  ASSERT_TRUE(row.ok() && outer.ok());
-  EXPECT_EQ(row->nnz(), 0);
-  EXPECT_EQ(outer->nnz(), 0);
+  const std::vector<sparse::Index> reversed = {3, 2, 1, 0};
+  auto natural = ExpandMerge(*a, *a);
+  auto ordered = ExpandMerge(*a, *a, reversed);
+  ASSERT_TRUE(natural.ok() && ordered.ok());
+  EXPECT_EQ(natural->nnz(), 0);
+  EXPECT_EQ(ordered->nnz(), 0);
+}
+
+TEST(FunctionalTest, ExpandMergeOrderChangesLayoutNotProduct) {
+  const CsrMatrix a = testing_util::RandomMatrix(40, 30, 0.2, 5);
+  const CsrMatrix b = testing_util::RandomMatrix(30, 35, 0.2, 6);
+  std::vector<sparse::Index> reversed;
+  for (sparse::Index i = a.cols() - 1; i >= 0; --i) reversed.push_back(i);
+  // A partial order: the listed pairs go first, the rest follow.
+  const std::vector<sparse::Index> partial = {7, 3, 29};
+  auto expected = sparse::ReferenceSpGemm(a, b);
+  ASSERT_TRUE(expected.ok());
+  for (const auto& order : {std::vector<sparse::Index>{}, reversed, partial}) {
+    auto got = ExpandMerge(a, b, order);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(CsrApproxEqual(*expected, *got, 1e-12));
+  }
+}
+
+TEST(FunctionalTest, ExpandMergeRejectsBadPairOrder) {
+  const CsrMatrix a = testing_util::RandomMatrix(8, 6, 0.4, 9);
+  const std::vector<sparse::Index> out_of_range = {0, 6};
+  const std::vector<sparse::Index> negative = {-1};
+  const std::vector<sparse::Index> repeated = {2, 1, 2};
+  const std::vector<sparse::Index> too_long = {0, 1, 2, 3, 4, 5, 0};
+  for (const auto& order : {out_of_range, negative, repeated, too_long}) {
+    auto got = ExpandMerge(a, testing_util::RandomMatrix(6, 5, 0.4, 10),
+                           order);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(FunctionalTest, ChatOffsetsRefuseUnaddressableTotals) {
+  auto ok = ChatOffsets({2, 0, 3});
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(*ok, (std::vector<sparse::Offset>{0, 2, 2, 5}));
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  // Saturating int64 total: the count is only a lower bound.
+  auto saturated = ChatOffsets({max / 2 + 1, max / 2 + 1});
+  ASSERT_FALSE(saturated.ok());
+  EXPECT_EQ(saturated.status().code(), StatusCode::kResourceExhausted);
+  // Representable count whose (column, value) bytes overflow size_t.
+  auto too_big = ChatOffsets({max / 4});
+  ASSERT_FALSE(too_big.ok());
+  EXPECT_EQ(too_big.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(FunctionalTest, DimensionMismatchRejectedEverywhere) {

@@ -1,17 +1,22 @@
 // Determinism suite: the parallel execution engine must produce outputs
 // bit-identical to --threads=1 for every thread count, on every input
-// family — skewed, banded, and degenerate. These tests drive the exact
-// code paths the bench sweeps and the fuzz-agreement suite rely on.
+// family — skewed, banded, and degenerate. It covers the reference oracle,
+// the shared expand/merge kernel, and Compute of every registered
+// algorithm (reorganizer ablations and reorder variants included), so the
+// thread-sanitizer job sees every parallel host path.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/block_reorganizer.h"
 #include "datasets/generators.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/reference_spgemm.h"
+#include "spgemm/algorithm_registry.h"
 #include "spgemm/functional.h"
 #include "spgemm/workload_model.h"
 #include "tests/test_util.h"
@@ -28,9 +33,9 @@ using sparse::Value;
 /// Thread counts the suite sweeps: serial, even, odd/prime (chunks don't
 /// divide evenly), and whatever this host actually has.
 std::vector<int> ThreadCounts() {
-  std::vector<int> counts = {1, 2, 7};
+  std::vector<int> counts = {1, 2, 4, 7};
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (hw > 1 && hw != 2 && hw != 7) counts.push_back(hw);
+  if (hw > 1 && hw != 2 && hw != 4 && hw != 7) counts.push_back(hw);
   return counts;
 }
 
@@ -52,22 +57,55 @@ void ExpectBitIdentical(const CsrMatrix& expected, const CsrMatrix& actual,
   EXPECT_EQ(expected.values(), actual.values()) << label << ": values";
 }
 
-using EngineFn = Result<CsrMatrix> (*)(const CsrMatrix&, const CsrMatrix&);
+/// Every pair of an n-column A, last first: a dispatch order that
+/// reverses each row's natural layout.
+std::vector<Index> ReversedPairs(Index n) {
+  std::vector<Index> order;
+  for (Index i = n - 1; i >= 0; --i) order.push_back(i);
+  return order;
+}
+
+using EngineFn =
+    std::function<Result<CsrMatrix>(const CsrMatrix&, const CsrMatrix&)>;
 
 struct Engine {
-  const char* name;
+  std::string name;
   EngineFn fn;
 };
 
-const Engine kEngines[] = {
-    {"ReferenceSpGemm", &sparse::ReferenceSpGemm},
-    {"RowProductExpandMerge", &spgemm::RowProductExpandMerge},
-    {"OuterProductExpandMerge", &spgemm::OuterProductExpandMerge},
-};
+/// The numeric paths under test: the reference oracle, the shared kernel
+/// in natural and reversed pair order, and Compute of every registered
+/// algorithm.
+std::vector<Engine> AllEngines() {
+  core::RegisterCoreAlgorithms();
+  std::vector<Engine> engines = {
+      {"ReferenceSpGemm", &sparse::ReferenceSpGemm},
+      {"ExpandMerge",
+       [](const CsrMatrix& a, const CsrMatrix& b) {
+         return spgemm::ExpandMerge(a, b);
+       }},
+      {"ExpandMerge(reversed)",
+       [](const CsrMatrix& a, const CsrMatrix& b) {
+         return spgemm::ExpandMerge(a, b, ReversedPairs(a.cols()));
+       }},
+  };
+  spgemm::AlgorithmRegistry& registry = spgemm::AlgorithmRegistry::Global();
+  for (const std::string& name : registry.Names()) {
+    engines.push_back({name,
+                       [&registry, name](const CsrMatrix& a,
+                                         const CsrMatrix& b)
+                           -> Result<CsrMatrix> {
+                         SPNET_ASSIGN_OR_RETURN(auto algorithm,
+                                                registry.Create(name));
+                         return algorithm->Compute(a, b);
+                       }});
+  }
+  return engines;
+}
 
 void CheckAllEnginesDeterministic(const CsrMatrix& a, const CsrMatrix& b,
                                   const std::string& input_label) {
-  for (const Engine& engine : kEngines) {
+  for (const Engine& engine : AllEngines()) {
     SetGlobalThreadCount(1);
     auto serial = engine.fn(a, b);
     ASSERT_TRUE(serial.ok())
@@ -80,8 +118,8 @@ void CheckAllEnginesDeterministic(const CsrMatrix& a, const CsrMatrix& b,
           << engine.name << " on " << input_label << " with " << threads
           << " threads: " << parallel.status().ToString();
       ExpectBitIdentical(*serial, *parallel,
-                         std::string(engine.name) + " on " + input_label +
-                             " with " + std::to_string(threads) + " threads");
+                         engine.name + " on " + input_label + " with " +
+                             std::to_string(threads) + " threads");
     }
     SetGlobalThreadCount(0);
   }
@@ -127,6 +165,17 @@ TEST_F(DeterminismTest, RectangularChain) {
   const CsrMatrix a = testing_util::RandomMatrix(120, 90, 0.06, 23);
   const CsrMatrix b = testing_util::RandomMatrix(90, 150, 0.05, 29);
   CheckAllEnginesDeterministic(a, b, "rectangular 120x90 * 90x150");
+}
+
+TEST_F(DeterminismTest, UnsortedRowsOperand) {
+  // A product's output (first-touch column order) fed back as the left
+  // operand: natural order follows A's rows as stored, at every thread
+  // count.
+  const CsrMatrix b = BandedMatrix(400, 4000, 59);
+  auto a = spgemm::ExpandMerge(b, b);
+  ASSERT_TRUE(a.ok());
+  ASSERT_FALSE(a->RowsSorted());
+  CheckAllEnginesDeterministic(*a, b, "unsorted rows x banded");
 }
 
 TEST_F(DeterminismTest, ZeroRowMatrix) {
@@ -219,18 +268,18 @@ TEST_F(DeterminismTest, BuildWorkloadAcrossThreadCounts) {
 
 TEST_F(DeterminismTest, ParallelOutputStillMatchesReferenceNumerically) {
   // Guard against a parallel scheme that is self-consistent but wrong:
-  // the row-product and outer-product results must still agree with the
-  // reference oracle (tolerant comparison, unordered rows allowed).
+  // the kernel must still agree with the reference oracle (tolerant
+  // comparison, unordered rows allowed) in any dispatch order.
   const CsrMatrix a = ZipfMatrix(400, 5000, 53);
   SetGlobalThreadCount(7);
   auto reference = sparse::ReferenceSpGemm(a, a);
   ASSERT_TRUE(reference.ok());
-  auto row = spgemm::RowProductExpandMerge(a, a);
-  ASSERT_TRUE(row.ok());
-  auto outer = spgemm::OuterProductExpandMerge(a, a);
-  ASSERT_TRUE(outer.ok());
-  EXPECT_TRUE(sparse::CsrApproxEqual(*reference, *row));
-  EXPECT_TRUE(sparse::CsrApproxEqual(*reference, *outer));
+  auto natural = spgemm::ExpandMerge(a, a);
+  ASSERT_TRUE(natural.ok());
+  EXPECT_TRUE(sparse::CsrApproxEqual(*reference, *natural));
+  auto ordered = spgemm::ExpandMerge(a, a, ReversedPairs(a.cols()));
+  ASSERT_TRUE(ordered.ok());
+  EXPECT_TRUE(sparse::CsrApproxEqual(*reference, *ordered));
 }
 
 }  // namespace

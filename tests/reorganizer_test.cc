@@ -4,6 +4,8 @@
 #include <tuple>
 
 #include "core/block_reorganizer.h"
+#include "datasets/generators.h"
+#include "gpusim/device_spec.h"
 #include "gpusim/kernel_desc.h"
 #include "sparse/reference_spgemm.h"
 #include "tests/test_util.h"
@@ -66,6 +68,43 @@ TEST_P(SplittingFactorTest, ComputeMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Factors, SplittingFactorTest,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 64));
+
+/// Device independence: a split vector's fragments are dispatched
+/// consecutively and in dominator order, so B-Splitting never changes the
+/// order any output row meets its pairs. Compute output must therefore be
+/// bit-identical for every splitting factor (0 derives it from a device)
+/// and with splitting off: no device may leak into the host path.
+TEST(ReorganizerTest, ComputeIsBitIdenticalForEverySplitShape) {
+  // Hub-aligned power law: several dominators whose rows also reach
+  // normal pairs, so a split-dependent dispatch order would show.
+  datasets::PowerLawParams params;
+  params.rows = params.cols = 800;
+  params.nnz = 9000;
+  params.seed = 13;
+  auto generated = datasets::GeneratePowerLaw(params);
+  ASSERT_TRUE(generated.ok());
+  const CsrMatrix& a = *generated;
+  const BlockReorganizerSpGemm base;
+  auto report = base.Analyze(a, a, gpusim::DeviceSpec::TitanXp());
+  ASSERT_TRUE(report.ok());
+  ASSERT_GT(report->dominators, 1) << "input must exercise B-Splitting";
+  auto expected = base.Compute(a, a);
+  ASSERT_TRUE(expected.ok());
+  for (bool splitting : {true, false}) {
+    for (int factor : {0, 1, 2, 64}) {
+      ReorganizerConfig config;
+      config.enable_splitting = splitting;
+      config.splitting_factor_override = factor;
+      auto got = BlockReorganizerSpGemm(config).Compute(a, a);
+      ASSERT_TRUE(got.ok());
+      const std::string label = "splitting " + std::to_string(splitting) +
+                                ", factor " + std::to_string(factor);
+      EXPECT_EQ(expected->ptr(), got->ptr()) << label;
+      EXPECT_EQ(expected->indices(), got->indices()) << label;
+      EXPECT_EQ(expected->values(), got->values()) << label;
+    }
+  }
+}
 
 TEST(ReorganizerTest, RectangularProduct) {
   const CsrMatrix a = testing_util::RandomMatrix(90, 140, 0.05, 17);

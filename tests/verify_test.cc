@@ -137,15 +137,24 @@ TEST(FaultInjectorTest, PlanAndComputeSitesCoverEveryAlgorithm) {
   EXPECT_FALSE((*algorithm)->Compute(a, a).ok());
 }
 
-TEST(FaultInjectorTest, ChatAllocSiteFailsReorganizerCompute) {
+TEST(FaultInjectorTest, ChatAllocSiteFailsEveryComputePath) {
+  // The C-hat allocation lives in the one host kernel, so the site fails
+  // the reorganizer's and the baselines' Compute with the armed code.
   InjectorGuard guard;
+  core::RegisterCoreAlgorithms();
   const CsrMatrix a = SmallMatrix();
-  core::BlockReorganizerSpGemm reorganizer;
-  FaultInjector::Global().Arm(verify::kSiteChatAlloc, 1, 1,
-                              StatusCode::kOutOfRange);
-  const auto c = reorganizer.Compute(a, a);
-  ASSERT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kOutOfRange);
+  for (const char* name : {"reorganizer", "reorganizer-gathering",
+                           "row-product", "outer-product", "cusparse"}) {
+    auto algorithm = spgemm::AlgorithmRegistry::Global().Create(name);
+    ASSERT_TRUE(algorithm.ok()) << name;
+    FaultInjector::Global().Arm(verify::kSiteChatAlloc, 1, 1,
+                                StatusCode::kOutOfRange);
+    const auto c = (*algorithm)->Compute(a, a);
+    ASSERT_FALSE(c.ok()) << name;
+    EXPECT_EQ(c.status().code(), StatusCode::kOutOfRange) << name;
+    // The window was one call: the next Compute succeeds.
+    EXPECT_TRUE((*algorithm)->Compute(a, a).ok()) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
