@@ -190,11 +190,25 @@ Status CsrMatrix::Validate() const {
   if (indices_.size() != values_.size()) {
     return Status::InvalidArgument("indices/values size mismatch");
   }
-  for (Index c : indices_) {
-    if (c < 0 || c >= cols_) {
-      return Status::OutOfRange("column index " + std::to_string(c) +
-                                " out of [0, " + std::to_string(cols_) + ")");
-    }
+  // Each chunk reports its first bad position and the lowest chunk's
+  // wins, so the error names the same index for any thread count.
+  ThreadPool& pool = GlobalThreadPool();
+  const int64_t n = static_cast<int64_t>(indices_.size());
+  const int64_t bad = pool.ParallelReduce(
+      0, n, std::max(kValidateGrain, GrainForItems(n, pool.threads())),
+      int64_t{-1},
+      [&](int64_t begin, int64_t end, int) {
+        for (int64_t k = begin; k < end; ++k) {
+          const Index c = indices_[static_cast<size_t>(k)];
+          if (c < 0 || c >= cols_) return k;
+        }
+        return int64_t{-1};
+      },
+      [](int64_t first, int64_t chunk) { return first >= 0 ? first : chunk; });
+  if (bad >= 0) {
+    return Status::OutOfRange(
+        "column index " + std::to_string(indices_[static_cast<size_t>(bad)]) +
+        " out of [0, " + std::to_string(cols_) + ")");
   }
   return Status::Ok();
 }

@@ -64,8 +64,12 @@ class CsrMatrix {
   /// True if every row's column indices are strictly increasing.
   bool RowsSorted() const;
 
-  /// Structural + bounds invariants; returns the first violation found.
+  /// Structural + bounds invariants; returns the first violation in
+  /// storage order. The column-range check runs on the global pool in
+  /// chunks of at least kValidateGrain indices, so smaller matrices (and
+  /// calls from inside pool workers) check inline.
   Status Validate() const;
+  static constexpr int64_t kValidateGrain = int64_t{1} << 18;
 
   /// Converts back to COO triplets.
   CooMatrix ToCoo() const;

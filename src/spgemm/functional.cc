@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/huge_pages.h"
 #include "common/math_util.h"
 #include "common/parallel.h"
-#include "sparse/row_scratch.h"
 #include "sparse/stats.h"
 #include "spgemm/exec_context.h"
 #include "verify/fault_injection.h"
@@ -20,8 +19,6 @@ namespace spgemm {
 using sparse::CsrMatrix;
 using sparse::Index;
 using sparse::Offset;
-using sparse::RowScratch;
-using sparse::RowScratchArena;
 using sparse::SpanView;
 using sparse::Value;
 
@@ -102,39 +99,62 @@ Status ForEachRow(ThreadPool& pool, const std::vector<Index>& bounds,
       });
 }
 
-/// Merges the `count` (col, val) elements at `cols`/`vals` with the dense
-/// accumulator in `s` and writes the merged row back over their prefix,
-/// in first-touch order. Returns the merged length. The first-touch
-/// column list grows over the front of `cols` while it is read; its end
-/// never passes the read position, so no unread element is overwritten.
-Offset MergeInPlace(Index* cols, Value* vals, Offset count, RowScratch* s) {
-  if (count <= 1) return count;
-  Offset merged = 0;
-  for (Offset k = 0; k < count; ++k) {
-    const Index c = cols[k];
-    if (!s->touched[static_cast<size_t>(c)]) {
-      s->touched[static_cast<size_t>(c)] = 1;
-      cols[merged++] = c;
+/// Distinct output columns of row r: its pairs' B rows walked against
+/// the row stamps in `map` (`map[c] != r` means column c is new to row r),
+/// which need no clearing between rows.
+Offset CountDistinctColumns(const CsrMatrix& a, const CsrMatrix& b, Index r,
+                            Index* map) {
+  const SpanView arow = a.Row(r);
+  Offset distinct = 0;
+  for (Offset k = 0; k < arow.size; ++k) {
+    const SpanView brow = b.Row(arow.indices[k]);
+    for (Offset l = 0; l < brow.size; ++l) {
+      Index& stamp = map[brow.indices[l]];
+      if (stamp != r) {
+        stamp = r;
+        ++distinct;
+      }
     }
-    s->acc[static_cast<size_t>(c)] += vals[k];
   }
-  for (Offset slot = 0; slot < merged; ++slot) {
-    const size_t c = static_cast<size_t>(cols[slot]);
-    vals[slot] = s->acc[c];
-    s->acc[c] = 0.0;
-    s->touched[c] = 0;
+  return distinct;
+}
+
+/// Adds `av` times the B row `brow` to the output row being merged at
+/// `cols`/`vals`, which holds `n` columns in first-touch order and their
+/// running sums, and returns the row's new length. A new column gets 0.0
+/// plus its product, the same additions a zeroed dense accumulator makes.
+/// `map[c]` is column c's position in the row, trusted only when `cols`
+/// holds c there, so values left by earlier rows or by the symbolic pass
+/// never need clearing.
+Index AccumulatePair(const SpanView& brow, Value av, Index* map, Index* cols,
+                     Value* vals, Index n) {
+  for (Offset l = 0; l < brow.size; ++l) {
+    const Index c = brow.indices[l];
+    // A separate statement, so the product is rounded before the add
+    // (never fused into an FMA) exactly as a stored C-hat entry was.
+    const Value product = av * brow.values[l];
+    const Index p = map[c];
+    if (p >= 0 && p < n && cols[p] == c) {
+      vals[p] += product;
+    } else {
+      map[c] = n;
+      cols[n] = c;
+      vals[n++] = 0.0 + product;
+    }
   }
-  return merged;
+  return n;
 }
 
 /// Resizes the empty `v` to `n` zeroed elements without a serial
-/// page-fault storm: the storage is reserved, the pool's workers first
-/// touch one byte per page of it, and resize()'s zero fill then runs at
-/// memory bandwidth. The touched bytes are raw allocated storage; no
-/// element lives there until resize() value-initialises it.
+/// page-fault storm: the storage is reserved and advised onto huge pages,
+/// the pool's workers first touch one byte per page of it, and resize()'s
+/// zero fill then runs at memory bandwidth. The touched bytes are raw
+/// allocated storage; no element lives there until resize()
+/// value-initialises it.
 template <typename T>
 void ResizeFirstTouchedByPool(ThreadPool& pool, size_t n, std::vector<T>* v) {
   v->reserve(n);
+  AdviseHugePages(v->data(), n * sizeof(T));
   unsigned char* bytes = reinterpret_cast<unsigned char*>(v->data());
   constexpr int64_t kPageBytes = 4096;
   const int64_t pages =
@@ -181,47 +201,80 @@ Result<CsrMatrix> ExpandMerge(const CsrMatrix& a, const CsrMatrix& b,
   const Index cols = b.cols();
   ThreadPool& pool = GlobalThreadPool();
 
-  // Relocation regions from the row-wise C-hat sizes (the paper
-  // precalculates exactly this), then one allocation. The storage is left
-  // uninitialised: the expansion overwrites every element, so the
-  // workers, not a serial memset, take the first-touch page faults.
+  // The row-wise C-hat counts (the paper precalculates exactly these)
+  // balance the chunks and bound the output; C-hat itself is never built.
   SPNET_ASSIGN_OR_RETURN(const std::vector<Offset> chat_ptr,
                          ChatOffsets(sparse::SpGemmRowFlops(a, b)));
-  const Offset total = chat_ptr.back();
-  // The C-hat buffers are the largest transient allocation in the
-  // pipeline; a fault here models expansion-phase OOM on the device.
-  SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteChatAlloc));
-  auto chat_cols =
-      std::make_unique_for_overwrite<Index[]>(static_cast<size_t>(total));
-  auto chat_vals =
-      std::make_unique_for_overwrite<Value[]>(static_cast<size_t>(total));
   const std::vector<Index> chunks =
       BalancedRowChunks(chat_ptr, pool.threads());
+  auto chat_count = [&](Index r) {
+    return chat_ptr[static_cast<size_t>(r) + 1] -
+           chat_ptr[static_cast<size_t>(r)];
+  };
+  // One column map per thread, shared by both passes and never cleared:
+  // row stamps in the symbolic pass, positions in the numeric pass.
+  std::vector<std::vector<Index>> maps(
+      static_cast<size_t>(pool.threads()),
+      std::vector<Index>(static_cast<size_t>(cols), -1));
 
+  std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
   {
-    // Expansion: row r's region receives, pair by pair in dispatch order,
-    // A(r,i) times row i of B. Writing row by row is the column-major
-    // scatter's result without its cursor races.
+    // Symbolic pass: enumerate every product and count each row's distinct
+    // columns, then one scan gives the exact row pointers.
     metrics::ScopedSpan span(TraceOf(ctx), "expand");
+    SPNET_CHECK_OK(ForEachRow(pool, chunks, [&](Index r, int thread_index) {
+      const Offset products = chat_count(r);
+      ptr[static_cast<size_t>(r) + 1] =
+          products <= 1
+              ? products
+              : CountDistinctColumns(
+                    a, b, r, maps[static_cast<size_t>(thread_index)].data());
+    }));
+    for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
+      ptr[r + 1] += ptr[r];
+    }
+  }
+  AddCounter(ctx, "expand.products", chat_ptr.back());
+
+  std::vector<Index> out_idx;
+  std::vector<Value> out_val;
+  {
+    // Numeric pass: row r merges A(r,i) times row i of B, pair by pair in
+    // dispatch order, straight into the output at ptr[r].
+    metrics::ScopedSpan span(TraceOf(ctx), "merge");
+    // The exact output arrays are the largest transient allocation in the
+    // pipeline; a fault here models expansion-phase OOM on the device.
+    SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteChatAlloc));
+    ResizeFirstTouchedByPool(pool, static_cast<size_t>(ptr.back()), &out_idx);
+    ResizeFirstTouchedByPool(pool, static_cast<size_t>(ptr.back()), &out_val);
     std::vector<std::vector<std::pair<Index, Offset>>> by_rank(
         rank.empty() ? 0 : static_cast<size_t>(pool.threads()));
     const std::vector<Offset>& a_ptr = a.ptr();
     const Index* a_idx = a.indices().data();
     const Value* a_val = a.values().data();
     SPNET_CHECK_OK(ForEachRow(pool, chunks, [&](Index r, int thread_index) {
-      Offset cur = chat_ptr[static_cast<size_t>(r)];
-      auto expand_pair = [&](Offset k) {
-        const SpanView brow = b.Row(a_idx[k]);
-        const Value av = a_val[k];
-        std::copy_n(brow.indices, brow.size, chat_cols.get() + cur);
-        Value* out = chat_vals.get() + cur;
-        for (Offset l = 0; l < brow.size; ++l) out[l] = av * brow.values[l];
-        cur += brow.size;
-      };
       const Offset begin = a_ptr[static_cast<size_t>(r)];
       const Offset end = a_ptr[static_cast<size_t>(r) + 1];
+      Index* row_cols = out_idx.data() + ptr[static_cast<size_t>(r)];
+      Value* row_vals = out_val.data() + ptr[static_cast<size_t>(r)];
+      if (chat_count(r) <= 1) {
+        // At most one product: copied as is, so a -0.0 stays -0.0.
+        for (Offset k = begin; k < end; ++k) {
+          const SpanView brow = b.Row(a_idx[k]);
+          if (brow.size == 0) continue;
+          row_cols[0] = brow.indices[0];
+          row_vals[0] = a_val[k] * brow.values[0];
+        }
+        return;
+      }
+      Index* map = maps[static_cast<size_t>(thread_index)].data();
+      Index count = 0;
+      auto merge_pair = [&](Offset k) {
+        count = AccumulatePair(b.Row(a_idx[k]), a_val[k], map, row_cols,
+                               row_vals, count);
+      };
       if (rank.empty()) {
-        for (Offset k = begin; k < end; ++k) expand_pair(k);
+        for (Offset k = begin; k < end; ++k) merge_pair(k);
         return;
       }
       std::vector<std::pair<Index, Offset>>& entries =
@@ -231,37 +284,7 @@ Result<CsrMatrix> ExpandMerge(const CsrMatrix& a, const CsrMatrix& b,
         entries.emplace_back(rank[static_cast<size_t>(a_idx[k])], k);
       }
       std::sort(entries.begin(), entries.end());
-      for (const auto& entry : entries) expand_pair(entry.second);
-    }));
-  }
-  AddCounter(ctx, "expand.products", total);
-
-  std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
-  std::vector<Index> out_idx;
-  std::vector<Value> out_val;
-  {
-    // Merge each region in place, then one scan and one parallel
-    // compaction produce the exact CSR.
-    metrics::ScopedSpan span(TraceOf(ctx), "merge");
-    RowScratchArena arena(pool.threads(), cols);
-    SPNET_CHECK_OK(ForEachRow(pool, chunks, [&](Index r, int thread_index) {
-      const Offset begin = chat_ptr[static_cast<size_t>(r)];
-      ptr[static_cast<size_t>(r) + 1] =
-          MergeInPlace(chat_cols.get() + begin, chat_vals.get() + begin,
-                       chat_ptr[static_cast<size_t>(r) + 1] - begin,
-                       &arena.at(thread_index));
-    }));
-    for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
-      ptr[r + 1] += ptr[r];
-    }
-    ResizeFirstTouchedByPool(pool, static_cast<size_t>(ptr.back()), &out_idx);
-    ResizeFirstTouchedByPool(pool, static_cast<size_t>(ptr.back()), &out_val);
-    SPNET_CHECK_OK(ForEachRow(pool, chunks, [&](Index r, int) {
-      const Offset from = chat_ptr[static_cast<size_t>(r)];
-      const Offset to = ptr[static_cast<size_t>(r)];
-      const Offset n = ptr[static_cast<size_t>(r) + 1] - to;
-      std::copy_n(chat_cols.get() + from, n, out_idx.data() + to);
-      std::copy_n(chat_vals.get() + from, n, out_val.data() + to);
+      for (const auto& entry : entries) merge_pair(entry.second);
     }));
   }
   AddCounter(ctx, "merge.output_nnz", ptr.back());

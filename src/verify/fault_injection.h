@@ -20,6 +20,9 @@ namespace verify {
 inline constexpr char kSiteLoaderRead[] = "sparse.loader.read";
 inline constexpr char kSitePlan[] = "spgemm.plan";
 inline constexpr char kSiteCompute[] = "spgemm.compute";
+/// Guards spgemm::ExpandMerge's exact output allocation, the largest
+/// transient one in every Compute path. The name stays "chat" because
+/// tests and SPNET_FAULT_INJECT settings arm it by this spelling.
 inline constexpr char kSiteChatAlloc[] = "core.chat.alloc";
 /// serve::Server admission control: an armed site rejects the request
 /// before quota/queue checks, exercising the rejection path

@@ -1,16 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
+#include "core/block_reorganizer.h"
 #include "core/suite.h"
+#include "core/workload_classifier.h"
 #include "datasets/generators.h"
 #include "spgemm/algorithm.h"
 #include "spgemm/functional.h"
 #include "sparse/reference_spgemm.h"
 #include "sparse/stats.h"
+#include "spgemm/workload_model.h"
 #include "tests/test_util.h"
 
 namespace spnet {
@@ -18,6 +28,10 @@ namespace spgemm {
 namespace {
 
 using sparse::CsrMatrix;
+using sparse::Index;
+using sparse::Offset;
+using sparse::SpanView;
+using sparse::Value;
 
 // One generated input per row: the functional correctness sweep runs
 // every algorithm against the reference on each of these.
@@ -144,6 +158,152 @@ TEST(FunctionalTest, ExpandMergeOrderChangesLayoutNotProduct) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_TRUE(CsrApproxEqual(*expected, *got, 1e-12));
   }
+}
+
+/// Rebuilds `m` row by row; `edit(r, cols, vals)` may reorder, drop or
+/// replace row r's entries.
+CsrMatrix EditRows(
+    const CsrMatrix& m,
+    const std::function<void(Index, std::vector<Index>*,
+                             std::vector<Value>*)>& edit) {
+  std::vector<Offset> ptr = {0};
+  std::vector<Index> idx;
+  std::vector<Value> val;
+  for (Index r = 0; r < m.rows(); ++r) {
+    const SpanView row = m.Row(r);
+    std::vector<Index> cols(row.indices, row.indices + row.size);
+    std::vector<Value> vals(row.values, row.values + row.size);
+    edit(r, &cols, &vals);
+    idx.insert(idx.end(), cols.begin(), cols.end());
+    val.insert(val.end(), vals.begin(), vals.end());
+    ptr.push_back(static_cast<Offset>(idx.size()));
+  }
+  auto out = CsrMatrix::FromParts(m.rows(), m.cols(), std::move(ptr),
+                                  std::move(idx), std::move(val));
+  SPNET_CHECK(out.ok()) << out.status().ToString();
+  return std::move(out).value();
+}
+
+/// Serial layout-order oracle. Row r's C-hat is materialised pair by pair
+/// in dispatch order (unlisted pairs last, ties in stored order), then
+/// merged in layout order: columns in first-touch order, sums started
+/// from 0.0, and a row's only product copied as is.
+CsrMatrix LayoutOrderOracle(const CsrMatrix& a, const CsrMatrix& b,
+                            const std::vector<Index>& order) {
+  std::vector<size_t> rank(static_cast<size_t>(a.cols()), order.size());
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    rank[static_cast<size_t>(order[pos])] = pos;
+  }
+  std::vector<Offset> ptr = {0};
+  std::vector<Index> idx;
+  std::vector<Value> val;
+  for (Index r = 0; r < a.rows(); ++r) {
+    const SpanView arow = a.Row(r);
+    std::vector<Offset> pairs(static_cast<size_t>(arow.size));
+    std::iota(pairs.begin(), pairs.end(), Offset{0});
+    std::stable_sort(pairs.begin(), pairs.end(), [&](Offset x, Offset y) {
+      return rank[static_cast<size_t>(arow.indices[x])] <
+             rank[static_cast<size_t>(arow.indices[y])];
+    });
+    std::vector<std::pair<Index, Value>> chat;
+    for (Offset k : pairs) {
+      const SpanView brow = b.Row(arow.indices[k]);
+      for (Offset l = 0; l < brow.size; ++l) {
+        chat.emplace_back(brow.indices[l], arow.values[k] * brow.values[l]);
+      }
+    }
+    if (chat.size() == 1) {
+      idx.push_back(chat[0].first);
+      val.push_back(chat[0].second);
+    } else {
+      std::vector<Index> first_touch;
+      std::map<Index, Value> sums;
+      for (const auto& [c, v] : chat) {
+        auto [it, fresh] = sums.try_emplace(c, 0.0);
+        if (fresh) first_touch.push_back(c);
+        it->second += v;
+      }
+      for (Index c : first_touch) {
+        idx.push_back(c);
+        val.push_back(sums[c]);
+      }
+    }
+    ptr.push_back(static_cast<Offset>(idx.size()));
+  }
+  auto out = CsrMatrix::FromParts(a.rows(), b.cols(), std::move(ptr),
+                                  std::move(idx), std::move(val));
+  SPNET_CHECK(out.ok()) << out.status().ToString();
+  return std::move(out).value();
+}
+
+TEST(FunctionalTest, ExpandMergeMatchesLayoutOrderOracle) {
+  // B's row 0 holds one entry, so pair 0 adds one product to a row.
+  const CsrMatrix b = EditRows(
+      testing_util::SkewedMatrix(160, 120, 41),
+      [](Index r, std::vector<Index>* cols, std::vector<Value>* vals) {
+        if (r == 0) {
+          *cols = {4};
+          *vals = {3.0};
+        }
+      });
+  // A: rows stored rotated by one (unsorted, and neither the natural nor
+  // the reversed pair order), every seventh row empty, mixed signs so the
+  // summation order shows in the bits, and row 5's only product
+  // -0.0 * 3.0 = -0.0.
+  const CsrMatrix a = EditRows(
+      testing_util::SkewedMatrix(160, 120, 43),
+      [](Index r, std::vector<Index>* cols, std::vector<Value>* vals) {
+        if (!cols->empty()) {
+          std::rotate(cols->begin(), cols->begin() + 1, cols->end());
+          std::rotate(vals->begin(), vals->begin() + 1, vals->end());
+        }
+        for (size_t k = 1; k < vals->size(); k += 2) (*vals)[k] *= -1.0;
+        if (r % 7 == 3) {
+          cols->clear();
+          vals->clear();
+        }
+        if (r == 5) {
+          *cols = {0};
+          *vals = {-0.0};
+        }
+      });
+  ASSERT_FALSE(a.RowsSorted());
+
+  std::vector<Index> reversed;
+  for (Index i = a.cols() - 1; i >= 0; --i) reversed.push_back(i);
+  const spgemm::Workload workload = spgemm::BuildWorkload(a, b);
+  const core::ReorganizerConfig config;
+  const std::vector<Index> dispatch = core::BuildDispatchOrder(
+      workload, core::Classify(workload, config), config);
+  ASSERT_FALSE(dispatch.empty());
+
+  const std::pair<const char*, std::vector<Index>> orders[] = {
+      {"natural", {}}, {"reversed", reversed}, {"dispatch", dispatch}};
+  for (const auto& [name, order] : orders) {
+    const CsrMatrix want = LayoutOrderOracle(a, b, order);
+    for (int threads : {1, 2, 4, 7}) {
+      SetGlobalThreadCount(threads);
+      auto got = ExpandMerge(a, b, order);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::string label =
+          std::string(name) + " order, " + std::to_string(threads) +
+          " threads";
+      EXPECT_EQ(want.ptr(), got->ptr()) << label;
+      EXPECT_EQ(want.indices(), got->indices()) << label;
+      ASSERT_EQ(want.values().size(), got->values().size()) << label;
+      size_t differing_bits = 0;
+      for (size_t k = 0; k < want.values().size(); ++k) {
+        differing_bits += std::bit_cast<uint64_t>(want.values()[k]) !=
+                          std::bit_cast<uint64_t>(got->values()[k]);
+      }
+      EXPECT_EQ(differing_bits, 0u) << label;
+      ASSERT_EQ(got->RowNnz(5), 1) << label;
+      EXPECT_TRUE(std::signbit(got->values()[static_cast<size_t>(
+          got->ptr()[5])]))
+          << label << ": a lone -0.0 product must keep its sign";
+    }
+  }
+  SetGlobalThreadCount(0);
 }
 
 TEST(FunctionalTest, ExpandMergeRejectsBadPairOrder) {

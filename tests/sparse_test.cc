@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "sparse/coo_matrix.h"
 #include "sparse/csr_matrix.h"
 #include "tests/test_util.h"
@@ -97,6 +99,38 @@ TEST(CsrMatrixTest, FromPartsValidates) {
   // good.
   auto good = CsrMatrix::FromParts(2, 2, {0, 1, 2}, {0, 1}, {1.0, 2.0});
   EXPECT_TRUE(good.ok());
+}
+
+TEST(CsrMatrixTest, ValidateReportsFirstBadColumnAtAnyThreadCount) {
+  // Two out-of-range columns in different chunks of the parallel range
+  // check. The first in storage order sits at the end of chunk 1 and the
+  // second at the start of chunk 3, so a thread that reports whatever it
+  // finds first would name the second.
+  const int64_t grain = CsrMatrix::kValidateGrain;
+  const Index rows = 1024;
+  const Index cols = 64;
+  const int64_t nnz = 4 * grain;
+  std::vector<Offset> ptr(static_cast<size_t>(rows) + 1);
+  for (Index r = 0; r <= rows; ++r) {
+    ptr[static_cast<size_t>(r)] = nnz / rows * r;
+  }
+  std::vector<Index> indices(static_cast<size_t>(nnz));
+  for (int64_t k = 0; k < nnz; ++k) {
+    indices[static_cast<size_t>(k)] = static_cast<Index>(k % cols);
+  }
+  indices[static_cast<size_t>(2 * grain - 1)] = cols + 7;
+  indices[static_cast<size_t>(3 * grain)] = -2;
+  const std::vector<Value> values(static_cast<size_t>(nnz), 1.0);
+  for (int threads : {1, 2, 4, 7}) {
+    SetGlobalThreadCount(threads);
+    auto m = CsrMatrix::FromParts(rows, cols, ptr, indices, values);
+    ASSERT_FALSE(m.ok()) << threads << " threads";
+    EXPECT_EQ(m.status().code(), StatusCode::kOutOfRange);
+    EXPECT_NE(m.status().message().find("column index 71 "),
+              std::string::npos)
+        << threads << " threads: " << m.status().ToString();
+  }
+  SetGlobalThreadCount(0);
 }
 
 TEST(CsrMatrixTest, TransposeRoundTrip) {
