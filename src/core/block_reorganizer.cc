@@ -8,7 +8,6 @@
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
 #include "spgemm/functional.h"
-#include "spgemm/nnz_estimator.h"
 #include "spgemm/plan.h"
 
 namespace spnet {
@@ -92,30 +91,22 @@ KernelDesc BuildPreprocessKernel(const Workload& workload, int64_t nnz_a) {
   return k;
 }
 
-/// The reorder pre-pass: A's rows and B's columns are permuted by the
-/// configured strategy. The inner (contraction) dimension is left alone,
-/// so the pair set, the per-pair processing order, and every per-entry
-/// accumulation order are unchanged — output values stay bit-identical to
-/// the unpermuted baseline once the inverse permutations are applied.
-struct ReorderedInputs {
-  sparse::Permutation rows;  ///< applied to a's rows
-  sparse::Permutation cols;  ///< applied to b's columns
-  CsrMatrix a;
-  CsrMatrix b;
+/// The workload and classification every entry point starts from:
+/// the paper's exact block-wise + row-wise precalculation, then binning.
+struct Prepared {
+  Workload workload;
+  Classification classes;
 };
 
-Result<ReorderedInputs> BuildReorderedInputs(const CsrMatrix& a,
-                                             const CsrMatrix& b,
-                                             sparse::ReorderStrategy strategy,
-                                             spgemm::ExecContext* ctx) {
-  metrics::ScopedSpan span(spgemm::TraceOf(ctx), "reorder");
-  ReorderedInputs out;
-  SPNET_ASSIGN_OR_RETURN(out.rows, sparse::BuildRowPermutation(a, strategy));
-  SPNET_ASSIGN_OR_RETURN(out.cols, sparse::BuildColPermutation(b, strategy));
-  SPNET_ASSIGN_OR_RETURN(out.a, out.rows.ApplyToRows(a));
-  SPNET_ASSIGN_OR_RETURN(out.b, out.cols.ApplyToCols(b));
-  spgemm::AddCounter(ctx, "reorder.applied", 1);
-  return out;
+Prepared Prepare(const CsrMatrix& a, const CsrMatrix& b,
+                 const ReorganizerConfig& config, spgemm::ExecContext* ctx) {
+  Prepared prep;
+  {
+    metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
+    prep.workload = spgemm::BuildWorkload(a, b, ctx);
+  }
+  prep.classes = Classify(prep.workload, config, ctx);
+  return prep;
 }
 
 }  // namespace
@@ -139,52 +130,6 @@ std::vector<Index> BuildDispatchOrder(const Workload& workload,
   order.insert(order.end(), gather.ungathered.begin(),
                gather.ungathered.end());
   return order;
-}
-
-spgemm::EstimatorOptions EstimatorFromConfig(const ReorganizerConfig& config) {
-  spgemm::EstimatorOptions options;
-  options.sample_fraction = config.estimator_sample_fraction;
-  return options;
-}
-
-BlockReorganizerSpGemm::Prepared BlockReorganizerSpGemm::PrepareWorkload(
-    const CsrMatrix& a, const CsrMatrix& b, spgemm::ExecContext* ctx) const {
-  Prepared prep;
-  if (config_.planning_tier != PlanningTier::kExact) {
-    spgemm::EstimatedWorkload est =
-        spgemm::BuildWorkloadEstimated(a, b, EstimatorFromConfig(config_), ctx);
-    prep.classes = ClassifyEstimated(&est, a, b, config_, ctx);
-    prep.confidence = est.confidence;
-    if (config_.planning_tier == PlanningTier::kEstimated ||
-        prep.confidence >= config_.min_plan_confidence) {
-      prep.workload = std::move(est.workload);
-      return prep;
-    }
-    // kAuto below the confidence floor: rebuild exactly.
-    spgemm::AddCounter(ctx, "reorganizer.tier_fallback_exact", 1);
-  }
-  prep.workload = [&] {
-    metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
-    return spgemm::BuildWorkload(a, b, ctx);
-  }();
-  prep.classes = Classify(prep.workload, config_, ctx);
-  prep.confidence = 1.0;
-  return prep;
-}
-
-Classification BlockReorganizerSpGemm::ClassifyTiered(
-    const CsrMatrix& a, const CsrMatrix& b, const Workload& exact,
-    spgemm::ExecContext* ctx) const {
-  if (config_.planning_tier != PlanningTier::kExact) {
-    spgemm::EstimatedWorkload est =
-        spgemm::BuildWorkloadEstimated(a, b, EstimatorFromConfig(config_), ctx);
-    Classification classes = ClassifyEstimated(&est, a, b, config_, ctx);
-    if (config_.planning_tier == PlanningTier::kEstimated ||
-        est.confidence >= config_.min_plan_confidence) {
-      return classes;
-    }
-  }
-  return Classify(exact, config_, ctx);
 }
 
 SpGemmPlan BlockReorganizerSpGemm::BuildPlanKernels(
@@ -295,20 +240,8 @@ Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
     return Status::InvalidArgument(
         "dimension mismatch in Block Reorganizer plan");
   }
-  if (config_.reorder != sparse::ReorderStrategy::kNone) {
-    SPNET_ASSIGN_OR_RETURN(const ReorderedInputs reordered,
-                           BuildReorderedInputs(a, b, config_.reorder, ctx));
-    const Prepared prep = PrepareWorkload(reordered.a, reordered.b, ctx);
-    SpGemmPlan plan = BuildPlanKernels(prep.workload, prep.classes, device,
-                                       reordered.a.nnz(), ctx);
-    plan.confidence = prep.confidence;
-    return plan;
-  }
-  const Prepared prep = PrepareWorkload(a, b, ctx);
-  SpGemmPlan plan =
-      BuildPlanKernels(prep.workload, prep.classes, device, a.nnz(), ctx);
-  plan.confidence = prep.confidence;
-  return plan;
+  const Prepared prep = Prepare(a, b, config_, ctx);
+  return BuildPlanKernels(prep.workload, prep.classes, device, a.nnz(), ctx);
 }
 
 Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
@@ -317,31 +250,10 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
     return Status::InvalidArgument(
         "dimension mismatch in Block Reorganizer compute");
   }
-  if (config_.reorder == sparse::ReorderStrategy::kNone) {
-    return ComputeCore(a, b, ctx);
-  }
-  SPNET_ASSIGN_OR_RETURN(const ReorderedInputs reordered,
-                         BuildReorderedInputs(a, b, config_.reorder, ctx));
-  SPNET_ASSIGN_OR_RETURN(const CsrMatrix permuted,
-                         ComputeCore(reordered.a, reordered.b, ctx));
-  // Invert the pre-pass: permuted row i holds original row rows.OldOf(i)
-  // and permuted column j is original column cols.OldOf(j). Values are
-  // moved, never recombined, so the restored matrix matches the
-  // unpermuted baseline bit for bit (within-row order aside).
-  SPNET_ASSIGN_OR_RETURN(const CsrMatrix rows_restored,
-                         reordered.rows.Inverse().ApplyToRows(permuted));
-  return reordered.cols.Inverse().ApplyToCols(rows_restored);
-}
-
-Result<CsrMatrix> BlockReorganizerSpGemm::ComputeCore(
-    const CsrMatrix& a, const CsrMatrix& b, spgemm::ExecContext* ctx) const {
-  const Workload workload = [&] {
-    metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
-    return spgemm::BuildWorkload(a, b, ctx);
-  }();
-  const Classification classes = ClassifyTiered(a, b, workload, ctx);
+  const Prepared prep = Prepare(a, b, config_, ctx);
   return spgemm::ExpandMerge(
-      a, b, BuildDispatchOrder(workload, classes, config_, ctx), ctx);
+      a, b, BuildDispatchOrder(prep.workload, prep.classes, config_, ctx),
+      ctx);
 }
 
 Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
@@ -351,14 +263,7 @@ Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
     return Status::InvalidArgument("dimension mismatch in Analyze");
   }
   metrics::ScopedSpan span(spgemm::TraceOf(ctx), "analyze:" + name());
-  Prepared prep;
-  if (config_.reorder != sparse::ReorderStrategy::kNone) {
-    SPNET_ASSIGN_OR_RETURN(const ReorderedInputs reordered,
-                           BuildReorderedInputs(a, b, config_.reorder, ctx));
-    prep = PrepareWorkload(reordered.a, reordered.b, ctx);
-  } else {
-    prep = PrepareWorkload(a, b, ctx);
-  }
+  const Prepared prep = Prepare(a, b, config_, ctx);
   const Workload& workload = prep.workload;
   const Classification& classes = prep.classes;
 
@@ -419,28 +324,6 @@ void RegisterCoreAlgorithms() {
     gathering_only.enable_splitting = false;
     gathering_only.enable_limiting = false;
     add("reorganizer-gathering", gathering_only, "B-Gathering");
-
-    // Full reorganizer planned from the sampled estimation tier; the
-    // differential sweep covers it like any other registered algorithm,
-    // proving the estimated classes never change results.
-    ReorganizerConfig estimated;
-    estimated.planning_tier = PlanningTier::kEstimated;
-    add("reorganizer-estimated", estimated, "Estimated-Planning");
-
-    // Full reorganizer behind each reordering pre-pass; the differential
-    // sweep covers every strategy against the reference, proving the
-    // permute/invert round trip never changes results.
-    ReorganizerConfig reorder_degree;
-    reorder_degree.reorder = sparse::ReorderStrategy::kDegree;
-    add("reorganizer-reorder-degree", reorder_degree, "Reorder-Degree");
-
-    ReorganizerConfig reorder_rcm;
-    reorder_rcm.reorder = sparse::ReorderStrategy::kRcm;
-    add("reorganizer-reorder-rcm", reorder_rcm, "Reorder-RCM");
-
-    ReorganizerConfig reorder_cluster;
-    reorder_cluster.reorder = sparse::ReorderStrategy::kCluster;
-    add("reorganizer-reorder-cluster", reorder_cluster, "Reorder-Cluster");
     return true;
   }();
   (void)registered;

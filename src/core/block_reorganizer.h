@@ -67,46 +67,12 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
                                         spgemm::ExecContext* ctx) const override;
 
  private:
-  /// Output of the configured planning tier: the workload feeding kernel
-  /// construction, the classification, and how much of the workload is
-  /// exactly known (1.0 for the exact tier).
-  struct Prepared {
-    spgemm::Workload workload;
-    Classification classes;
-    double confidence = 1.0;
-  };
-
-  /// Runs the configured planning tier for Plan/Analyze: exact
-  /// precalculation, or the sampled estimator with per-entry exact
-  /// fallback; kAuto rebuilds exactly when the post-fallback confidence
-  /// lands below `min_plan_confidence`.
-  Prepared PrepareWorkload(const sparse::CsrMatrix& a,
-                           const sparse::CsrMatrix& b,
-                           spgemm::ExecContext* ctx) const;
-
-  /// Tiered classification for Compute: scheduling classes may come from
-  /// estimates, but the caller's `exact` workload always drives buffer
-  /// sizes and expansion ranges (an estimate must never move a cursor).
-  Classification ClassifyTiered(const sparse::CsrMatrix& a,
-                                const sparse::CsrMatrix& b,
-                                const spgemm::Workload& exact,
-                                spgemm::ExecContext* ctx) const;
-
-  /// Kernel construction shared by both tiers.
+  /// Builds the simulated kernels of the plan from the classification.
   spgemm::SpGemmPlan BuildPlanKernels(const spgemm::Workload& workload,
                                       const Classification& classes,
                                       const gpusim::DeviceSpec& device,
                                       int64_t nnz_a,
                                       spgemm::ExecContext* ctx) const;
-
-  /// The classify/gather/expand/merge pipeline on inputs as given.
-  /// Scheduling classes may come from the estimated tier: they only order
-  /// the dispatch, and the kernel sizes every buffer from exact row
-  /// counts. ComputeImpl wraps it with the config's reorder pre-pass
-  /// (permute A's rows and B's columns, compute, invert on the output).
-  Result<sparse::CsrMatrix> ComputeCore(const sparse::CsrMatrix& a,
-                                        const sparse::CsrMatrix& b,
-                                        spgemm::ExecContext* ctx) const;
 
   ReorganizerConfig config_;
   std::string name_;
@@ -131,9 +97,7 @@ Result<std::unique_ptr<spgemm::SpGemmAlgorithm>> MakeBlockReorganizer(
 
 /// Registers the Block Reorganizer family ("reorganizer" plus the
 /// single-technique ablation variants "reorganizer-limiting",
-/// "reorganizer-splitting", "reorganizer-gathering", the sampled
-/// planning tier "reorganizer-estimated", and the reordering pre-pass
-/// ablations "reorganizer-reorder-degree" / "-rcm" / "-cluster") in
+/// "reorganizer-splitting" and "reorganizer-gathering") in
 /// spgemm::AlgorithmRegistry::Global(). Idempotent; call before querying
 /// the registry for core-layer algorithms.
 void RegisterCoreAlgorithms();

@@ -2,32 +2,11 @@
 #define SPNET_CORE_REORGANIZER_CONFIG_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/status.h"
-#include "sparse/reorder.h"
 
 namespace spnet {
 namespace core {
-
-/// How the planner precalculates the C-hat workload before classifying.
-///   * kExact: the paper's full block-wise + row-wise precalculation.
-///   * kEstimated: sampled estimation (spgemm::BuildWorkloadEstimated) with
-///     per-entry exact fallback only where a confidence band straddles a
-///     classification threshold — the OCEAN-style cheap tier.
-///   * kAuto: estimated first; rebuilt exactly when the resulting plan
-///     confidence falls below `min_plan_confidence`.
-enum class PlanningTier {
-  kExact = 0,
-  kEstimated = 1,
-  kAuto = 2,
-};
-
-/// Canonical flag spelling ("exact" | "estimated" | "auto").
-const char* PlanningTierName(PlanningTier tier);
-
-/// Inverse of PlanningTierName; InvalidArgument on unknown spellings.
-Result<PlanningTier> ParsePlanningTier(const std::string& name);
 
 /// Tuning knobs of the Block Reorganizer (Section IV of the paper). The
 /// defaults reproduce the paper's configuration; the per-technique enables
@@ -64,33 +43,10 @@ struct ReorganizerConfig {
   /// Thread block size for expansion and merge kernels.
   int block_size = 256;
 
-  /// Which precalculation tier Plan/Analyze use (see PlanningTier).
-  /// Compute always executes against the exact workload; the tier only
-  /// chooses how classification inputs are obtained.
-  PlanningTier planning_tier = PlanningTier::kExact;
-
-  /// Fraction of A's rows the estimated tier scans exactly (the sampled
-  /// rows anchor the confidence bands). Must be in (0, 1].
-  double estimator_sample_fraction = 0.05;
-
-  /// Below this plan confidence the kAuto tier falls back to exact
-  /// precalculation. Must be in [0, 1].
-  double min_plan_confidence = 0.5;
-
-  /// Structural reordering pre-pass (sparse::BuildRowPermutation) applied
-  /// before planning and execution: A's rows and B's columns are permuted,
-  /// the product is computed in the permuted space, and the inverse
-  /// permutations are applied to the output. The inner (contraction)
-  /// dimension is never permuted, so every per-entry accumulation runs in
-  /// the original order and results stay bit-identical to the unpermuted
-  /// baseline (up to within-row entry order).
-  sparse::ReorderStrategy reorder = sparse::ReorderStrategy::kNone;
-
   /// Checks the knobs are usable before an algorithm is built around
   /// them: alpha/beta strictly positive, splitting_factor_override zero
   /// (heuristic) or a power of two, limiting_extra_shmem non-negative,
-  /// block_size a positive multiple of the 32-lane warp, the estimator
-  /// fraction in (0, 1] and the confidence floor in [0, 1].
+  /// block_size a positive multiple of the 32-lane warp.
   /// MakeBlockReorganizer and AutoTune refuse invalid configs with this
   /// Status instead of silently running with nonsense thresholds.
   Status Validate() const;

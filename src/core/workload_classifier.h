@@ -5,9 +5,7 @@
 #include <vector>
 
 #include "core/reorganizer_config.h"
-#include "sparse/csr_matrix.h"
 #include "sparse/types.h"
-#include "spgemm/nnz_estimator.h"
 #include "spgemm/workload_model.h"
 
 namespace spnet {
@@ -49,27 +47,6 @@ struct Classification {
 Classification Classify(const spgemm::Workload& workload,
                         const ReorganizerConfig& config,
                         spgemm::ExecContext* ctx = nullptr);
-
-/// Classifies from a sampled estimate (spgemm::BuildWorkloadEstimated)
-/// instead of the exact precalculation. Thresholds come from the estimated
-/// totals; an entry whose guaranteed band clears a threshold is classified
-/// without ever computing its exact value, and exact precalculation runs
-/// only for the entries whose band straddles the threshold (a flagged
-/// column recount over A's indices for pairs, a per-row rescan for rows).
-///
-/// `est` is patched in place: fallback entries get their exact values with
-/// collapsed bands, and est->confidence is refreshed to the post-fallback
-/// exact-mass fraction. The result relates to the exact classification by
-/// verify::CheckEstimatedClassification — wherever a band did not straddle
-/// the chosen threshold, the class equals the exact tier's class under the
-/// same thresholds. Pairs whose band upper bound is positive but whose
-/// exact work is zero may appear as phantom low performers / normals;
-/// those expand zero products downstream, never wrong ones.
-Classification ClassifyEstimated(spgemm::EstimatedWorkload* est,
-                                 const sparse::CsrMatrix& a,
-                                 const sparse::CsrMatrix& b,
-                                 const ReorganizerConfig& config,
-                                 spgemm::ExecContext* ctx = nullptr);
 
 }  // namespace core
 }  // namespace spnet

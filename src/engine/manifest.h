@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/batch_runner.h"
+#include "engine/request.h"
 
 namespace spnet {
 namespace engine {
@@ -38,7 +38,7 @@ struct ManifestEntry {
 /// < 1, > 100000) are InvalidArgument.
 [[nodiscard]] Result<std::vector<ManifestEntry>> ParseManifest(const std::string& content);
 
-/// How BuildQueries materializes dataset sources.
+/// How BuildRequests materializes dataset sources.
 struct ManifestLoadOptions {
   /// Scale for Table II dataset names (files load as-is).
   double scale = 0.05;
@@ -74,17 +74,6 @@ struct ManifestLoadOptions {
 [[nodiscard]] Result<std::vector<Request>> LoadManifestRequests(
     const std::string& path, const ManifestLoadOptions& options,
     const std::string& tenant = "batch", int priority = 0);
-
-/// Legacy adapters over BuildRequests/LoadManifestRequests, kept for
-/// pre-Request callers.
-SPNET_DEPRECATED("use BuildRequests")
-[[nodiscard]] Result<std::vector<BatchQuery>> BuildQueries(
-    const std::vector<ManifestEntry>& entries,
-    const ManifestLoadOptions& options);
-
-SPNET_DEPRECATED("use LoadManifestRequests")
-[[nodiscard]] Result<std::vector<BatchQuery>> LoadManifest(
-    const std::string& path, const ManifestLoadOptions& options);
 
 }  // namespace engine
 }  // namespace spnet

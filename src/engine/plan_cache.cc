@@ -14,8 +14,7 @@ size_t PlanKeyHash::operator()(const PlanKey& k) const {
   return static_cast<size_t>(h);
 }
 
-PlanCache::PlanCache(size_t capacity, size_t shards, double min_confidence)
-    : capacity_(capacity), min_confidence_(min_confidence) {
+PlanCache::PlanCache(size_t capacity, size_t shards) : capacity_(capacity) {
   if (shards < 1) shards = 1;
   if (capacity > 0 && shards > capacity) shards = capacity;
   if (capacity == 0) shards = 1;  // a single empty shard keeps paths uniform
@@ -56,13 +55,6 @@ std::shared_ptr<const spgemm::SpGemmPlan> PlanCache::Insert(
     const PlanKey& key, spgemm::SpGemmPlan plan, spgemm::ExecContext* ctx) {
   auto shared =
       std::make_shared<const spgemm::SpGemmPlan>(std::move(plan));
-  if (shared->confidence < min_confidence_) {
-    // Estimated-tier plans below the admission floor are served but never
-    // cached: one lucky sample must not become every future query's plan.
-    rejected_low_confidence_.fetch_add(1, std::memory_order_relaxed);
-    spgemm::AddCounter(ctx, "engine.plan_cache.reject_low_confidence", 1);
-    return shared;
-  }
   if (capacity_ == 0) return shared;
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);

@@ -56,7 +56,7 @@ struct PlanKeyHash {
 /// of one logical cache. The counters are process-global atomics
 /// aggregated across shards, and the engine.plan_cache.{hit,miss,evict}
 /// counters recorded on an ExecContext likewise sum over all shards, so
-/// existing consumers (BatchReport deltas, BENCH_engine_batch.json,
+/// existing consumers (ExecutionReport deltas, BENCH_engine_batch.json,
 /// engine_test) read identical semantics whatever the shard count.
 /// Recency is per shard: eviction removes the least-recently-used entry of
 /// the full shard, which approximates global LRU the way any sharded cache
@@ -76,13 +76,8 @@ class PlanCache {
   /// disables caching (every Lookup misses, Insert is a no-op). `shards`
   /// is clamped to [1, capacity] so every shard owns at least one entry;
   /// the per-shard capacity is capacity/shards with the remainder spread
-  /// over the first shards. `min_confidence` is the admission floor for
-  /// plan confidence: plans built from low-confidence estimates (see
-  /// SpGemmPlan::confidence) are returned to the caller but never cached,
-  /// so a lucky sample cannot become every future query's plan. 0.0
-  /// admits everything.
-  explicit PlanCache(size_t capacity, size_t shards = 1,
-                     double min_confidence = 0.0);
+  /// over the first shards.
+  explicit PlanCache(size_t capacity, size_t shards = 1);
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -111,11 +106,6 @@ class PlanCache {
   int64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Inserts refused because the plan's confidence was below the floor.
-  int64_t rejected_low_confidence() const {
-    return rejected_low_confidence_.load(std::memory_order_relaxed);
-  }
-  double min_confidence() const { return min_confidence_; }
 
  private:
   using Entry = std::pair<PlanKey, std::shared_ptr<const spgemm::SpGemmPlan>>;
@@ -134,13 +124,11 @@ class PlanCache {
   Shard& ShardFor(const PlanKey& key);
 
   const size_t capacity_;
-  const double min_confidence_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> rejected_low_confidence_{0};
 };
 
 }  // namespace engine

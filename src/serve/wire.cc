@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "metrics/json_writer.h"
 
@@ -85,6 +86,20 @@ struct Scanner {
     pos += static_cast<size_t>(end - start);
     return value;
   }
+
+  /// A number that must fit in int: converting an out-of-range double to
+  /// int is undefined behavior, so it is rejected at the number's offset.
+  Result<int> ParseInt() {
+    SkipSpace();
+    const size_t start = pos;
+    SPNET_ASSIGN_OR_RETURN(const double value, ParseNumber());
+    if (!(value >= std::numeric_limits<int>::min() &&
+          value <= std::numeric_limits<int>::max())) {
+      pos = start;
+      return ErrorAt("number outside int range");
+    }
+    return static_cast<int>(value);
+  }
 };
 
 }  // namespace
@@ -124,13 +139,13 @@ Result<WireRequest> ParseRequestLine(const std::string& line) {
         s.pos += 5;
       } else if (line.compare(s.pos, 4, "null") == 0) {
         s.pos += 4;
+      } else if (key == "schema_version") {
+        SPNET_ASSIGN_OR_RETURN(request.schema_version, s.ParseInt());
+      } else if (key == "priority") {
+        SPNET_ASSIGN_OR_RETURN(request.priority, s.ParseInt());
       } else {
         SPNET_ASSIGN_OR_RETURN(const double value, s.ParseNumber());
-        if (key == "schema_version") {
-          request.schema_version = static_cast<int>(value);
-        } else if (key == "priority") {
-          request.priority = static_cast<int>(value);
-        } else if (key == "deadline_ms") {
+        if (key == "deadline_ms") {
           request.deadline_ms = value;
         }
         // Unknown numeric keys are ignored.

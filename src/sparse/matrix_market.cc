@@ -1,5 +1,6 @@
 #include "sparse/matrix_market.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -96,7 +97,12 @@ Result<CsrMatrix> ParseMatrixMarket(const std::string& content) {
   }
 
   CooMatrix coo(static_cast<Index>(rows), static_cast<Index>(cols));
-  coo.Reserve(symmetric ? 2 * entries : entries);
+  // The size line is untrusted: every entry needs more than two bytes of
+  // `content` ("r c"), which bounds the reservation without trusting
+  // `entries` or doubling it past long long.
+  const long long plausible = std::min<long long>(
+      entries, static_cast<long long>(content.size() / 2));
+  coo.Reserve(symmetric ? 2 * plausible : plausible);
   for (long long k = 0; k < entries; ++k) {
     long long r = 0, c = 0;
     double v = 1.0;

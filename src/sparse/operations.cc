@@ -192,8 +192,7 @@ CsrMatrix TopKPerRow(const CsrMatrix& a, Index k) {
                                          buf.size());
     // Ties at the k boundary are broken by ascending column index; a
     // magnitude-only comparator would keep an arbitrary survivor among
-    // equal-magnitude entries, making top-k depend on input entry order
-    // (which a reordering pre-pass changes).
+    // equal-magnitude entries, making top-k depend on input entry order.
     std::partial_sort(buf.begin(), buf.begin() + static_cast<ptrdiff_t>(keep),
                       buf.end(), [](const auto& x, const auto& y) {
                         const double ax = std::fabs(x.first);

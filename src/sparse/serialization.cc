@@ -75,6 +75,32 @@ Result<CsrMatrix> ReadBinary(const std::string& path) {
         std::to_string(header.cols) + " exceed 32-bit index range");
   }
 
+  // Size the body from the header only after the file proves it holds
+  // that many bytes: a hostile header must not drive the allocation.
+  const int64_t ptr_bytes =
+      (header.rows + 1) * static_cast<int64_t>(sizeof(Offset));
+  constexpr int64_t kEntryBytes = sizeof(Index) + sizeof(Value);
+  if (header.nnz >
+      (std::numeric_limits<int64_t>::max() - ptr_bytes) / kEntryBytes) {
+    return Status::InvalidArgument("SPNB header nnz " +
+                                   std::to_string(header.nnz) +
+                                   " exceeds any representable file size");
+  }
+  const int64_t body_bytes = ptr_bytes + header.nnz * kEntryBytes;
+  const std::streampos body_begin = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos file_end = in.tellg();
+  in.seekg(body_begin);
+  if (body_begin < 0 || file_end < 0 || !in) {
+    return Status::IoError("cannot size the body of " + path);
+  }
+  const int64_t remaining = static_cast<int64_t>(file_end - body_begin);
+  if (body_bytes > remaining) {
+    return Status::IoError("truncated body in " + path + ": header implies " +
+                           std::to_string(body_bytes) + " bytes, file holds " +
+                           std::to_string(remaining));
+  }
+
   std::vector<Offset> ptr(static_cast<size_t>(header.rows) + 1);
   std::vector<Index> idx(static_cast<size_t>(header.nnz));
   std::vector<Value> val(static_cast<size_t>(header.nnz));

@@ -9,7 +9,6 @@
 #include "core/block_reorganizer.h"
 #include "gpusim/device_spec.h"
 #include "sparse/reference_spgemm.h"
-#include "sparse/reorder.h"
 
 namespace spnet {
 namespace verify {
@@ -111,147 +110,6 @@ Status CheckClassification(const Workload& workload,
     return Violation("limited_rows holds " +
                      std::to_string(classes.limited_rows.size()) +
                      " rows, rule selects " + std::to_string(k));
-  }
-  return Status::Ok();
-}
-
-Status CheckEstimatedClassification(const Workload& exact,
-                                    const spgemm::EstimatedWorkload& estimated,
-                                    const Classification& classes) {
-  const size_t pairs = exact.pair_work.size();
-  if (estimated.pair_work_lo.size() != pairs ||
-      estimated.pair_work_hi.size() != pairs) {
-    return Violation("estimated pair bands cover " +
-                     std::to_string(estimated.pair_work_lo.size()) +
-                     " pairs, exact workload has " + std::to_string(pairs));
-  }
-  const size_t rows = exact.row_chat.size();
-  if (estimated.row_chat_lo.size() != rows ||
-      estimated.row_chat_hi.size() != rows) {
-    return Violation("estimated row bands cover " +
-                     std::to_string(estimated.row_chat_lo.size()) +
-                     " rows, exact workload has " + std::to_string(rows));
-  }
-  if (!(estimated.confidence >= 0.0) || estimated.confidence > 1.0) {
-    return Violation("estimator confidence " +
-                     std::to_string(estimated.confidence) +
-                     " outside [0, 1]");
-  }
-  if (classes.dominator_threshold < 1 || classes.limit_row_threshold < 1) {
-    return Violation("estimated classification thresholds below 1");
-  }
-
-  // Soundness: the bands are guarantees, so ground truth must lie inside
-  // every one of them.
-  for (size_t i = 0; i < pairs; ++i) {
-    if (exact.pair_work[i] < estimated.pair_work_lo[i] ||
-        exact.pair_work[i] > estimated.pair_work_hi[i]) {
-      return Violation(PairLabel(static_cast<Index>(i)) + " band [" +
-                       std::to_string(estimated.pair_work_lo[i]) + ", " +
-                       std::to_string(estimated.pair_work_hi[i]) +
-                       "] misses exact work " +
-                       std::to_string(exact.pair_work[i]));
-    }
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    if (exact.row_chat[r] < estimated.row_chat_lo[r] ||
-        exact.row_chat[r] > estimated.row_chat_hi[r]) {
-      return Violation("row " + std::to_string(r) + " band [" +
-                       std::to_string(estimated.row_chat_lo[r]) + ", " +
-                       std::to_string(estimated.row_chat_hi[r]) +
-                       "] misses exact C-hat " +
-                       std::to_string(exact.row_chat[r]));
-    }
-  }
-
-  // Coverage + class match. 0 = unseen, 1..3 = bin tag.
-  std::vector<uint8_t> seen(pairs, 0);
-  auto mark = [&](const std::vector<Index>& bin, uint8_t tag,
-                  const char* bin_name) -> Status {
-    for (Index pair : bin) {
-      if (pair < 0 || static_cast<size_t>(pair) >= pairs) {
-        return Violation(PairLabel(pair) + " out of range in " + bin_name);
-      }
-      if (seen[static_cast<size_t>(pair)] != 0) {
-        return Violation(PairLabel(pair) + " classified twice (" + bin_name +
-                         ")");
-      }
-      seen[static_cast<size_t>(pair)] = tag;
-    }
-    return Status::Ok();
-  };
-  SPNET_RETURN_IF_ERROR(mark(classes.dominators, 1, "dominators"));
-  SPNET_RETURN_IF_ERROR(mark(classes.low_performers, 2, "low performers"));
-  SPNET_RETURN_IF_ERROR(mark(classes.normals, 3, "normals"));
-
-  const int64_t dom = classes.dominator_threshold;
-  for (size_t i = 0; i < pairs; ++i) {
-    const int64_t work = exact.pair_work[i];
-    const Index pair = static_cast<Index>(i);
-    if (work == 0) {
-      // A phantom pair — the estimator could not rule its work out — may
-      // sit in a non-dominator bin as a harmless no-op expansion, but must
-      // never be promoted to a dominator (soundness above already forces
-      // its lower bound to 0, below any legal threshold).
-      if (seen[i] == 1) {
-        return Violation(PairLabel(pair) +
-                         " has zero exact work but was made a dominator");
-      }
-      continue;
-    }
-    if (seen[i] == 0) {
-      return Violation(PairLabel(pair) + " with exact work " +
-                       std::to_string(work) + " was not classified");
-    }
-    const int64_t lo = estimated.pair_work_lo[i];
-    const int64_t hi = estimated.pair_work_hi[i];
-    if (lo <= dom && dom < hi) continue;  // declared undecidable
-    uint8_t expected;
-    if (work > dom) {
-      expected = 1;
-    } else if (exact.b_row_nnz[i] < 32) {
-      expected = 2;
-    } else {
-      expected = 3;
-    }
-    if (seen[i] != expected) {
-      return Violation(PairLabel(pair) + " landed in bin " +
-                       std::to_string(seen[i]) + " with band [" +
-                       std::to_string(lo) + ", " + std::to_string(hi) +
-                       "] clear of threshold " + std::to_string(dom) +
-                       ", exact rule says " + std::to_string(expected));
-    }
-  }
-
-  // Limited rows: increasing order, and membership must match the exact
-  // rule wherever the row band cleared the threshold.
-  std::vector<uint8_t> limited(rows, 0);
-  Index prev = -1;
-  for (Index r : classes.limited_rows) {
-    if (r < 0 || static_cast<size_t>(r) >= rows) {
-      return Violation("limited row " + std::to_string(r) + " out of range");
-    }
-    if (r <= prev) {
-      return Violation("limited_rows not strictly increasing at row " +
-                       std::to_string(r));
-    }
-    prev = r;
-    limited[static_cast<size_t>(r)] = 1;
-  }
-  const int64_t lim = classes.limit_row_threshold;
-  for (size_t r = 0; r < rows; ++r) {
-    const int64_t lo = estimated.row_chat_lo[r];
-    const int64_t hi = estimated.row_chat_hi[r];
-    if (lo <= lim && lim < hi) continue;  // declared undecidable
-    const bool expected = exact.row_chat[r] > lim;
-    if ((limited[r] != 0) != expected) {
-      return Violation("row " + std::to_string(r) + " limited=" +
-                       std::to_string(limited[r]) + " with band [" +
-                       std::to_string(lo) + ", " + std::to_string(hi) +
-                       "] clear of threshold " + std::to_string(lim) +
-                       ", exact C-hat is " +
-                       std::to_string(exact.row_chat[r]));
-    }
   }
   return Status::Ok();
 }
@@ -475,28 +333,9 @@ Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
     return Status::InvalidArgument("dimension mismatch in invariant check");
   }
 
-  const Workload exact = spgemm::BuildWorkload(a, b);
-  const bool tier_exact = config.planning_tier == core::PlanningTier::kExact;
-
-  // The workload/classification the plan checks run against: the exact
-  // tier's own, or the estimator's patched output (checked against ground
-  // truth first — the estimation tier's core contract).
-  Workload tiered;
-  Classification classes;
-  if (tier_exact) {
-    tiered = exact;
-    classes = core::Classify(tiered, config);
-    SPNET_RETURN_IF_ERROR(CheckClassification(tiered, classes));
-  } else {
-    spgemm::EstimatorOptions estimator;
-    estimator.sample_fraction = config.estimator_sample_fraction;
-    spgemm::EstimatedWorkload est =
-        spgemm::BuildWorkloadEstimated(a, b, estimator);
-    classes = core::ClassifyEstimated(&est, a, b, config);
-    SPNET_RETURN_IF_ERROR(CheckEstimatedClassification(exact, est, classes));
-    tiered = std::move(est.workload);
-  }
-  const Workload& workload = tiered;
+  const Workload workload = spgemm::BuildWorkload(a, b);
+  const Classification classes = core::Classify(workload, config);
+  SPNET_RETURN_IF_ERROR(CheckClassification(workload, classes));
 
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();
   if (config.enable_splitting) {
@@ -518,18 +357,7 @@ Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
                          core::MakeBlockReorganizer(config));
   SPNET_ASSIGN_OR_RETURN(spgemm::SpGemmPlan plan,
                          algorithm->Plan(a, b, device));
-  if (!(plan.confidence >= 0.0) || plan.confidence > 1.0) {
-    return Violation("plan confidence " + std::to_string(plan.confidence) +
-                     " outside [0, 1]");
-  }
-  if (tier_exact && plan.confidence != 1.0) {
-    return Violation("exact-tier plan reports confidence " +
-                     std::to_string(plan.confidence));
-  }
-  // The kAuto tier may have rebuilt exactly inside Plan, so the estimated
-  // tiers only pin the structural checks against the plan's own flops.
-  SPNET_RETURN_IF_ERROR(
-      CheckPlanStructure(plan, tier_exact ? workload.flops : plan.flops));
+  SPNET_RETURN_IF_ERROR(CheckPlanStructure(plan, workload.flops));
 
   SPNET_ASSIGN_OR_RETURN(sparse::CsrMatrix got, algorithm->Compute(a, b));
   SPNET_RETURN_IF_ERROR(got.Validate());
@@ -537,29 +365,6 @@ Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
                          sparse::ReferenceSpGemm(a, b));
   if (!sparse::CsrApproxEqual(expected, got)) {
     return Violation("reorganizer output diverges from the reference");
-  }
-
-  // The reorder pre-pass promises more than tolerance agreement: because
-  // the inner dimension is never permuted, every per-entry accumulation
-  // runs in the original order and the restored output must match the
-  // unpermuted configuration bit for bit (row order normalized).
-  if (config.reorder != sparse::ReorderStrategy::kNone) {
-    core::ReorganizerConfig unpermuted = config;
-    unpermuted.reorder = sparse::ReorderStrategy::kNone;
-    SPNET_ASSIGN_OR_RETURN(
-        std::unique_ptr<spgemm::SpGemmAlgorithm> baseline_algorithm,
-        core::MakeBlockReorganizer(unpermuted));
-    SPNET_ASSIGN_OR_RETURN(sparse::CsrMatrix baseline,
-                           baseline_algorithm->Compute(a, b));
-    baseline.SortRows();
-    got.SortRows();
-    if (baseline.ptr() != got.ptr() || baseline.indices() != got.indices() ||
-        baseline.values() != got.values()) {
-      return Violation(
-          std::string("reordered output (strategy ") +
-          sparse::ReorderStrategyName(config.reorder) +
-          ") is not bit-identical to the unpermuted baseline");
-    }
   }
   return Status::Ok();
 }

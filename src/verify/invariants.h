@@ -10,7 +10,6 @@
 #include "core/reorganizer_config.h"
 #include "core/workload_classifier.h"
 #include "sparse/csr_matrix.h"
-#include "spgemm/nnz_estimator.h"
 #include "spgemm/plan.h"
 #include "spgemm/workload_model.h"
 
@@ -29,28 +28,6 @@ namespace verify {
 /// rows whose C-hat population exceeds the limiting threshold.
 [[nodiscard]] Status CheckClassification(const spgemm::Workload& workload,
                            const core::Classification& classes);
-
-/// The estimation tier's contract against ground truth. `exact` is the
-/// exact workload for the same A*B, `estimated` the (post-fallback)
-/// estimate, and `classes` the classification ClassifyEstimated produced
-/// from it. Checks:
-///  - soundness: every exact pair_work / row_chat value lies inside the
-///    recorded band (the bands are guarantees, not probabilistic);
-///  - coverage: every pair with exact work lands in exactly one bin, and
-///    no phantom pair (possible-but-absent work) reaches the dominator
-///    bin;
-///  - class match: wherever a band does not straddle the classification
-///    threshold, the estimated class equals the class the exact rule
-///    assigns under the same thresholds — i.e. estimation may only
-///    disagree where it explicitly said it could not decide (and the
-///    fallback collapses those bands, so a patched classification has no
-///    straddlers left);
-///  - limited rows: same statement for the row-side threshold, plus the
-///    deterministic increasing dispatch order.
-[[nodiscard]] Status CheckEstimatedClassification(
-    const spgemm::Workload& exact,
-    const spgemm::EstimatedWorkload& estimated,
-    const core::Classification& classes);
 
 /// The split plan covers every dominator exactly once; each vector's
 /// factor is a power of two, its offsets carve [0, col_nnz) into `factor`
@@ -89,11 +66,7 @@ namespace verify {
 /// Runs the full invariant suite for one configuration on one A*B:
 /// classification, split/gather/limiting plans (as enabled), the built
 /// SpGemmPlan, and finally Compute whose CSR output must Validate() and
-/// match the reference oracle. The plan-level checks tolerate a reorder
-/// pre-pass transparently (flops and confidence are permutation
-/// invariant); when config.reorder is set, Compute's output must
-/// additionally be bit-identical (after row sorting) to the
-/// unpermuted-config baseline — the reorder pass's core promise.
+/// match the reference oracle.
 [[nodiscard]] Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
                                    const sparse::CsrMatrix& b,
                                    const core::ReorganizerConfig& config);

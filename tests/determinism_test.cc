@@ -2,8 +2,8 @@
 // bit-identical to --threads=1 for every thread count, on every input
 // family — skewed, banded, and degenerate. It covers the reference oracle,
 // the shared expand/merge kernel, and Compute of every registered
-// algorithm (reorganizer ablations and reorder variants included), so the
-// thread-sanitizer job sees every parallel host path.
+// algorithm (reorganizer ablations included), so the thread-sanitizer job
+// sees every parallel host path.
 
 #include <gtest/gtest.h>
 

@@ -85,6 +85,28 @@ TEST(MatrixMarketTest, RejectsTruncatedEntries) {
   EXPECT_FALSE(ParseMatrixMarket(content).ok());
 }
 
+TEST(MatrixMarketTest, HugeEntryCountIsTruncatedNotAllocated) {
+  // The size line claims 2^40 entries; reserving that many would throw
+  // std::bad_alloc. The parser must reach the missing entries instead.
+  auto m = ParseMatrixMarket(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "4 4 1099511627776\n"
+      "1 1 1.0");
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kIoError);
+  EXPECT_NE(m.status().message().find("unexpected end of entries"),
+            std::string::npos)
+      << m.status().ToString();
+
+  // Symmetric doubling of the largest count must not overflow either.
+  auto s = ParseMatrixMarket(
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "4 4 9223372036854775807\n"
+      "1 1 1.0\n");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().code(), StatusCode::kIoError);
+}
+
 TEST(MatrixMarketTest, OversizedHeaderIsOutOfRange) {
   // Dimensions beyond the 32-bit Index range must be rejected up front
   // instead of wrapping when narrowed.

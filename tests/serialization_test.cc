@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "sparse/serialization.h"
 #include "tests/test_util.h"
@@ -70,6 +73,41 @@ TEST(SerializationTest, RejectsTruncatedFile) {
   auto r = ReadBinary(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+/// Writes a bare SPNB header (magic, version, rows, cols, nnz) plus the
+/// `extra` bytes after it.
+void WriteHeader(const std::string& path, int64_t rows, int64_t cols,
+                 int64_t nnz, const std::string& extra) {
+  std::ofstream out(path, std::ios::binary);
+  const uint32_t magic = 0x424E5053;
+  const uint32_t version = 1;
+  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  out.write(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
+  out.write(extra.data(), static_cast<std::streamsize>(extra.size()));
+}
+
+TEST(SerializationTest, HugeNnzHeaderIsTruncatedNotAllocated) {
+  // 40 bytes: the header and ptr[0] of a 0-row matrix claiming 2^40
+  // nonzeros. Allocating from the header would throw std::bad_alloc.
+  const std::string path = TempPath("huge_nnz.spnb");
+  WriteHeader(path, 0, 4, int64_t{1} << 40, std::string(8, '\0'));
+  auto r = ReadBinary(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+TEST(SerializationTest, UnrepresentableNnzHeaderIsInvalid) {
+  const std::string path = TempPath("overflow_nnz.spnb");
+  WriteHeader(path, 4, 4, std::numeric_limits<int64_t>::max(), "");
+  auto r = ReadBinary(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

@@ -256,6 +256,24 @@ TEST(WireTest, RejectsMalformedLines) {
                    .ok());
 }
 
+TEST(WireTest, RejectsIntFieldsOutsideIntRangeWithOffset) {
+  // Converting such a double to int is undefined behavior; the parser
+  // must refuse it and point at the number.
+  for (const char* key : {"schema_version", "priority"}) {
+    for (const char* number : {"1e20", "-1e20"}) {
+      const std::string prefix = std::string("{\"id\":\"q\",\"") + key +
+                                 "\":";
+      auto wire = ParseRequestLine(prefix + number + ",\"source\":\"s\"}");
+      ASSERT_FALSE(wire.ok()) << key << "=" << number;
+      EXPECT_EQ(wire.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(wire.status().message().find(
+                    "byte " + std::to_string(prefix.size())),
+                std::string::npos)
+          << wire.status().ToString();
+    }
+  }
+}
+
 TEST(WireTest, SerializeResponseCarriesStatusAndMeasurements) {
   engine::Response response;
   response.id = "q1";

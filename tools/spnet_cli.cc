@@ -13,11 +13,7 @@
 //   spnet_cli batch    --manifest queries.txt [--plan_cache 64]
 //             [--deadline_ms D] [--fallback outer-product] [--repeats N]
 //             [--scale 0.05] [--cache dir] [--device titanxp]
-//             [--planning_tier exact|estimated|auto]
-//             [--reorder none|degree|rcm|cluster]
 //   spnet_cli verify   [--sweep small|medium] [--seed 42]
-//             [--planning_tier exact|estimated|auto]
-//             [--reorder none|degree|rcm|cluster]
 //
 // verify runs the correctness harness: a differential sweep of every
 // registered algorithm against the reference spGEMM over seeded input
@@ -68,7 +64,6 @@
 #include "gpusim/profiler.h"
 #include "metrics/report.h"
 #include "sparse/matrix_market.h"
-#include "sparse/reorder.h"
 #include "sparse/serialization.h"
 #include "sparse/stats.h"
 #include "spgemm/algorithm.h"
@@ -301,18 +296,6 @@ int CmdBatch(const FlagParser& flags) {
       flags.GetDouble("alpha", options.reorganizer_config.alpha);
   options.reorganizer_config.beta =
       flags.GetDouble("beta", options.reorganizer_config.beta);
-  if (flags.Has("planning_tier")) {
-    auto tier =
-        core::ParsePlanningTier(flags.GetString("planning_tier", "exact"));
-    if (!tier.ok()) return Fail(tier.status());
-    options.reorganizer_config.planning_tier = *tier;
-  }
-  if (flags.Has("reorder")) {
-    auto strategy =
-        sparse::ParseReorderStrategy(flags.GetString("reorder", "none"));
-    if (!strategy.ok()) return Fail(strategy.status());
-    options.reorganizer_config.reorder = *strategy;
-  }
   engine::BatchRunner runner(std::move(options));
 
   const int64_t repeats = std::max<int64_t>(1, flags.GetInt("repeats", 1));
@@ -378,68 +361,25 @@ int CmdVerify(const FlagParser& flags) {
   std::printf("%s\n", report->Summary().c_str());
   failed = failed || !report->ok();
 
-  // 2. Plan invariants on every ablation variant of the reorganizer, plus
-  // the estimated planning tiers (whose sweep additionally checks the
-  // estimation contract via CheckEstimatedClassification). A forced
-  // --planning_tier overrides every variant's tier — the CI estimation
-  // smoke runs the whole suite with the estimator on.
-  core::PlanningTier forced_tier = core::PlanningTier::kExact;
-  const bool force_tier = flags.Has("planning_tier");
-  if (force_tier) {
-    auto tier =
-        core::ParsePlanningTier(flags.GetString("planning_tier", "exact"));
-    if (!tier.ok()) return Fail(tier.status());
-    forced_tier = *tier;
-  }
-  // A forced --reorder similarly overrides every variant's reordering
-  // pre-pass — the CI reorder smoke runs the whole suite under each
-  // strategy, including the bit-identity check against the unpermuted
-  // baseline inside VerifyReorganizerInvariants.
-  sparse::ReorderStrategy forced_reorder = sparse::ReorderStrategy::kNone;
-  const bool force_reorder = flags.Has("reorder");
-  if (force_reorder) {
-    auto strategy =
-        sparse::ParseReorderStrategy(flags.GetString("reorder", "none"));
-    if (!strategy.ok()) return Fail(strategy.status());
-    forced_reorder = *strategy;
-  }
+  // 2. Plan invariants on every ablation variant of the reorganizer.
   struct Variant {
     const char* name;
     bool split;
     bool gather;
     bool limit;
-    core::PlanningTier tier;
-    sparse::ReorderStrategy reorder;
   };
   const Variant variants[] = {
-      {"reorganizer", true, true, true, core::PlanningTier::kExact,
-       sparse::ReorderStrategy::kNone},
-      {"reorganizer-splitting", true, false, false,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kNone},
-      {"reorganizer-gathering", false, true, false,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kNone},
-      {"reorganizer-limiting", false, false, true,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kNone},
-      {"reorganizer-none", false, false, false, core::PlanningTier::kExact,
-       sparse::ReorderStrategy::kNone},
-      {"reorganizer-estimated", true, true, true,
-       core::PlanningTier::kEstimated, sparse::ReorderStrategy::kNone},
-      {"reorganizer-auto", true, true, true, core::PlanningTier::kAuto,
-       sparse::ReorderStrategy::kNone},
-      {"reorganizer-reorder-degree", true, true, true,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kDegree},
-      {"reorganizer-reorder-rcm", true, true, true,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kRcm},
-      {"reorganizer-reorder-cluster", true, true, true,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kCluster},
+      {"reorganizer", true, true, true},
+      {"reorganizer-splitting", true, false, false},
+      {"reorganizer-gathering", false, true, false},
+      {"reorganizer-limiting", false, false, true},
+      {"reorganizer-none", false, false, false},
   };
   for (const Variant& v : variants) {
     core::ReorganizerConfig config;
     config.enable_splitting = v.split;
     config.enable_gathering = v.gather;
     config.enable_limiting = v.limit;
-    config.planning_tier = force_tier ? forced_tier : v.tier;
-    config.reorder = force_reorder ? forced_reorder : v.reorder;
     Status worst = Status::Ok();
     for (const std::string& family : verify::SweepFamilyNames()) {
       for (int k = 0; k < options.cases_per_family; ++k) {

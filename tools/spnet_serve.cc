@@ -21,8 +21,6 @@
 //               [--store_capacity 8]   (unpinned resident matrices)
 //               [--scale 0.05] [--seed 42] [--cache dir]
 //               [--deadline_ms D] [--fallback outer-product]
-//               [--planning_tier exact|estimated|auto]
-//               [--reorder none|degree|rcm|cluster]
 //               [--device titanxp|v100|2080ti] [--threads N]
 //               [--metrics_out stats.json]
 //
@@ -39,7 +37,6 @@
 
 #include "common/flags.h"
 #include "common/mutex.h"
-#include "core/reorganizer_config.h"
 #include "common/parallel.h"
 #include "common/status.h"
 #include "engine/request.h"
@@ -47,7 +44,6 @@
 #include "metrics/json_writer.h"
 #include "serve/server.h"
 #include "serve/wire.h"
-#include "sparse/reorder.h"
 
 namespace spnet {
 namespace {
@@ -99,7 +95,7 @@ gpusim::DeviceSpec DeviceFromFlags(const FlagParser& flags) {
   return gpusim::DeviceSpec::TitanXp();
 }
 
-Result<serve::ServeOptions> OptionsFromFlags(const FlagParser& flags) {
+serve::ServeOptions OptionsFromFlags(const FlagParser& flags) {
   serve::ServeOptions options;
   options.workers = static_cast<int>(flags.GetInt("workers", 2));
   options.queue_capacity =
@@ -113,16 +109,6 @@ Result<serve::ServeOptions> OptionsFromFlags(const FlagParser& flags) {
   options.engine.fallback_algorithm =
       flags.GetString("fallback", options.engine.fallback_algorithm);
   options.engine.default_deadline_ms = flags.GetDouble("deadline_ms", 0.0);
-  if (flags.Has("planning_tier")) {
-    SPNET_ASSIGN_OR_RETURN(
-        options.engine.reorganizer_config.planning_tier,
-        core::ParsePlanningTier(flags.GetString("planning_tier", "exact")));
-  }
-  if (flags.Has("reorder")) {
-    SPNET_ASSIGN_OR_RETURN(
-        options.engine.reorganizer_config.reorder,
-        sparse::ParseReorderStrategy(flags.GetString("reorder", "none")));
-  }
   options.engine.device = DeviceFromFlags(flags);
   options.store.capacity = static_cast<size_t>(
       std::max<int64_t>(0, flags.GetInt("store_capacity", 8)));
@@ -151,12 +137,7 @@ int Run(int argc, char** argv) {
   SetGlobalThreadCount(static_cast<int>(flags.GetInt("threads", 0)));
   InstallSignalHandlers();
 
-  auto options = OptionsFromFlags(flags);
-  if (!options.ok()) {
-    std::fprintf(stderr, "error: %s\n", options.status().ToString().c_str());
-    return 2;
-  }
-  serve::Server server(std::move(options).value());
+  serve::Server server(OptionsFromFlags(flags));
   const Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
