@@ -11,10 +11,12 @@
 
 namespace spnet {
 
-/// Minimal command-line flag parser for benches and examples.
+/// Minimal command-line flag parser for the tools, benches and examples.
 ///
 /// Accepts `--name=value`, `--name value` and bare `--name` (boolean true).
 /// Anything not starting with `--` is collected as a positional argument.
+/// Every name looked up through Has/Get* is recorded, so a tool can reject
+/// a misspelt or removed flag with CheckAllRead once it has read its own.
 class FlagParser {
  public:
   /// Parses argv; returns InvalidArgument on malformed input.
@@ -36,9 +38,17 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// InvalidArgument naming the first given `--flag` (in name order) that
+  /// no Has/Get* call has looked up.
+  Status CheckAllRead() const;
+
  private:
+  /// Records a lookup of `name` and returns its value, or null if absent.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace spnet

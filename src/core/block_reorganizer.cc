@@ -1,13 +1,13 @@
 #include "core/block_reorganizer.h"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "common/math_util.h"
 #include "core/b_limiting.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 
 namespace spnet {
@@ -78,10 +78,13 @@ ThreadBlockDesc MakeGatheredBlock(const Workload& workload,
 
 /// The device-side pre-process: one pass computing block-wise nnz (pair
 /// work) and row-wise nnz of C-hat, one pass binning the pairs.
-KernelDesc BuildPreprocessKernel(const Workload& workload, int64_t nnz_a) {
+KernelDesc BuildPreprocessKernel(const Workload& workload) {
   KernelDesc k;
   k.label = "reorganizer-preprocess";
   k.phase = Phase::kPreprocess;
+  // nnz(A): the column counts sum to exactly the stored entries.
+  const int64_t nnz_a = std::accumulate(workload.a_col_nnz.begin(),
+                                        workload.a_col_nnz.end(), int64_t{0});
   const int64_t pairs = static_cast<int64_t>(workload.pair_work.size());
   // One fused pass: count block-wise and row-wise nnz while binning the
   // pairs (a histogram over the CSR pointer arrays).
@@ -132,15 +135,12 @@ std::vector<Index> BuildDispatchOrder(const Workload& workload,
   return order;
 }
 
-SpGemmPlan BlockReorganizerSpGemm::BuildPlanKernels(
-    const Workload& workload, const Classification& classes,
-    const gpusim::DeviceSpec& device, int64_t nnz_a,
-    spgemm::ExecContext* ctx) const {
+SpGemmPlan BlockReorganizerSpGemm::PlanImpl(const Workload& workload,
+                                            const gpusim::DeviceSpec& device,
+                                            spgemm::ExecContext* ctx) const {
+  const Classification classes = Classify(workload, config_, ctx);
   SpGemmPlan plan;
-  plan.flops = workload.flops;
-  plan.output_nnz = workload.output_nnz;
-
-  plan.kernels.push_back(BuildPreprocessKernel(workload, nnz_a));
+  plan.kernels.push_back(BuildPreprocessKernel(workload));
 
   // --- Expansion: dominator kernel (split or not). --------------------------
   KernelDesc dominators;
@@ -233,27 +233,10 @@ SpGemmPlan BlockReorganizerSpGemm::BuildPlanKernels(
   return plan;
 }
 
-Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
-    const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec& device,
-    spgemm::ExecContext* ctx) const {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument(
-        "dimension mismatch in Block Reorganizer plan");
-  }
-  const Prepared prep = Prepare(a, b, config_, ctx);
-  return BuildPlanKernels(prep.workload, prep.classes, device, a.nnz(), ctx);
-}
-
-Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
+std::vector<Index> BlockReorganizerSpGemm::PairOrder(
     const CsrMatrix& a, const CsrMatrix& b, spgemm::ExecContext* ctx) const {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument(
-        "dimension mismatch in Block Reorganizer compute");
-  }
   const Prepared prep = Prepare(a, b, config_, ctx);
-  return spgemm::ExpandMerge(
-      a, b, BuildDispatchOrder(prep.workload, prep.classes, config_, ctx),
-      ctx);
+  return BuildDispatchOrder(prep.workload, prep.classes, config_, ctx);
 }
 
 Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(

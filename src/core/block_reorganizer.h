@@ -53,27 +53,20 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
                                     spgemm::ExecContext* ctx = nullptr) const;
 
  protected:
-  Result<spgemm::SpGemmPlan> PlanImpl(const sparse::CsrMatrix& a,
-                                      const sparse::CsrMatrix& b,
-                                      const gpusim::DeviceSpec& device,
-                                      spgemm::ExecContext* ctx) const override;
+  /// The paper's plan: classification, then the preprocess, dominator,
+  /// main expansion and B-Limiting merge kernels.
+  spgemm::SpGemmPlan PlanImpl(const spgemm::Workload& workload,
+                              const gpusim::DeviceSpec& device,
+                              spgemm::ExecContext* ctx) const override;
 
-  /// Host execution: the shared expand/merge kernel over the
-  /// reorganizer's dispatch order (BuildDispatchOrder), so classification
-  /// and gathering are validated end to end (tests compare against
-  /// ReferenceSpGemm).
-  Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
-                                        const sparse::CsrMatrix& b,
-                                        spgemm::ExecContext* ctx) const override;
+  /// The host kernel runs over the reorganizer's dispatch order
+  /// (BuildDispatchOrder), so classification and gathering are validated
+  /// end to end (tests compare against ReferenceSpGemm).
+  std::vector<sparse::Index> PairOrder(
+      const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
+      spgemm::ExecContext* ctx) const override;
 
  private:
-  /// Builds the simulated kernels of the plan from the classification.
-  spgemm::SpGemmPlan BuildPlanKernels(const spgemm::Workload& workload,
-                                      const Classification& classes,
-                                      const gpusim::DeviceSpec& device,
-                                      int64_t nnz_a,
-                                      spgemm::ExecContext* ctx) const;
-
   ReorganizerConfig config_;
   std::string name_;
 };

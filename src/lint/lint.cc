@@ -377,7 +377,7 @@ void CheckRelaxedAtomic(RuleContext* ctx) {
 void CheckExecContextThreading(RuleContext* ctx) {
   const std::vector<Token>& code = ctx->code();
   for (size_t i = 0; i + 1 < code.size(); ++i) {
-    if (!IsIdent(code[i], "PlanImpl") && !IsIdent(code[i], "ComputeImpl")) {
+    if (!IsIdent(code[i], "PlanImpl") && !IsIdent(code[i], "PairOrder")) {
       continue;
     }
     if (!IsPunct(code[i + 1], "(")) continue;
@@ -403,8 +403,8 @@ void CheckExecContextThreading(RuleContext* ctx) {
     ctx->Emit("exec-context-threading", Severity::kError, code[i].line,
               "'" + code[i].text +
                   "' override does not thread ExecContext*; every "
-                  "plan/compute hook must accept the context so tracing and "
-                  "metrics flow through the whole pipeline");
+                  "plan/pair-order hook must accept the context so tracing "
+                  "and metrics flow through the whole pipeline");
   }
 }
 
@@ -640,7 +640,7 @@ const std::vector<RuleInfo>& Rules() {
       {"relaxed-atomic", Severity::kWarning,
        "memory_order_relaxed only in audited fast-path files"},
       {"exec-context-threading", Severity::kError,
-       "PlanImpl/ComputeImpl overrides must accept ExecContext*"},
+       "PlanImpl/PairOrder overrides must accept ExecContext*"},
       {"include-iostream", Severity::kError,
        "headers must not include <iostream>"},
       {"unsafe-planner-arithmetic", Severity::kError,

@@ -1,11 +1,26 @@
 #include "spgemm/algorithm.h"
 
+#include <string>
+
 #include "gpusim/kernel_desc.h"
 #include "spgemm/exec_context.h"
+#include "spgemm/functional.h"
 #include "verify/fault_injection.h"
 
 namespace spnet {
 namespace spgemm {
+
+namespace {
+
+Status CheckShapes(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
+                   const std::string& name) {
+  if (a.cols() == b.rows()) return Status::Ok();
+  return Status::InvalidArgument("dimension mismatch in " + name + ": " +
+                                 std::to_string(a.cols()) + " columns vs " +
+                                 std::to_string(b.rows()) + " rows");
+}
+
+}  // namespace
 
 Result<SpGemmPlan> SpGemmAlgorithm::Plan(const sparse::CsrMatrix& a,
                                          const sparse::CsrMatrix& b,
@@ -16,7 +31,16 @@ Result<SpGemmPlan> SpGemmAlgorithm::Plan(const sparse::CsrMatrix& a,
   // Fault-injection boundary: every algorithm's plan construction funnels
   // through this NVI, so one site covers the whole registry.
   SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSitePlan));
-  return PlanImpl(a, b, device, ctx);
+  SPNET_RETURN_IF_ERROR(CheckShapes(a, b, name()));
+  Workload workload;
+  {
+    metrics::ScopedSpan workload_span(TraceOf(ctx), "build-workload");
+    workload = BuildWorkload(a, b, ctx);
+  }
+  SpGemmPlan plan = PlanImpl(workload, device, ctx);
+  plan.flops = workload.flops;
+  plan.output_nnz = workload.output_nnz;
+  return plan;
 }
 
 Result<sparse::CsrMatrix> SpGemmAlgorithm::Compute(const sparse::CsrMatrix& a,
@@ -25,7 +49,13 @@ Result<sparse::CsrMatrix> SpGemmAlgorithm::Compute(const sparse::CsrMatrix& a,
   metrics::ScopedSpan span(TraceOf(ctx), "compute:" + name());
   ScopedPoolStats pool_stats(ctx);
   SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteCompute));
-  return ComputeImpl(a, b, ctx);
+  SPNET_RETURN_IF_ERROR(CheckShapes(a, b, name()));
+  return ExpandMerge(a, b, PairOrder(a, b, ctx), ctx);
+}
+
+std::vector<sparse::Index> SpGemmAlgorithm::PairOrder(
+    const sparse::CsrMatrix&, const sparse::CsrMatrix&, ExecContext*) const {
+  return {};
 }
 
 Result<SpGemmMeasurement> Measure(const SpGemmAlgorithm& algorithm,

@@ -10,6 +10,7 @@
 #include "gpusim/simulator.h"
 #include "sparse/csr_matrix.h"
 #include "spgemm/plan.h"
+#include "spgemm/workload_model.h"
 
 namespace spnet {
 namespace spgemm {
@@ -17,16 +18,19 @@ namespace spgemm {
 struct ExecContext;
 
 /// One spGEMM implementation under evaluation: it can (1) really compute
-/// C = A*B on the host, structured the way the algorithm structures the
-/// work (expansion + merge), and (2) emit the workload plan its GPU
-/// execution would dispatch, for the SIMT timing model.
+/// C = A*B on the host and (2) emit the workload plan its GPU execution
+/// would dispatch, for the SIMT timing model.
 ///
-/// The entry points follow the non-virtual-interface pattern: callers use
-/// the public Plan/Compute, which accept an optional ExecContext for
-/// observability (trace spans around each call, thread-pool counters) and
-/// delegate to the protected virtuals. Implementations override
-/// PlanImpl/ComputeImpl and may record their own pass-level metrics
-/// against the context; a null context must be (and is, via the
+/// The base class owns the skeleton every algorithm shares, following the
+/// non-virtual-interface pattern: the public Plan/Compute take an optional
+/// ExecContext for observability (trace spans, thread-pool counters), check
+/// the shapes once, and run the shared steps. Plan builds the workload (the
+/// paper's block-wise and row-wise C-hat precalculation) under the
+/// "build-workload" span and copies its flops and output nnz into the plan;
+/// Compute runs the one host kernel, ExpandMerge. An algorithm supplies
+/// only its cost model, PlanImpl (the simulated kernels and host seconds
+/// over the prepared workload), and may override PairOrder to set the
+/// kernel's pair dispatch order. A null context must be (and is, via the
 /// null-tolerant helpers in exec_context.h) a cheap no-op.
 class SpGemmAlgorithm {
  public:
@@ -35,27 +39,34 @@ class SpGemmAlgorithm {
   /// Short identifier used in benchmark tables ("row-product", ...).
   virtual std::string name() const = 0;
 
-  /// Builds the simulation plan for C = A*B on `device`.
+  /// Builds the simulation plan for C = A*B on `device`. InvalidArgument
+  /// when a.cols() != b.rows().
   Result<SpGemmPlan> Plan(const sparse::CsrMatrix& a,
                           const sparse::CsrMatrix& b,
                           const gpusim::DeviceSpec& device,
                           ExecContext* ctx = nullptr) const;
 
-  /// Functionally computes C = A*B (host execution of the same algorithm
-  /// structure); validated against ReferenceSpGemm in the test suite.
+  /// Functionally computes C = A*B with ExpandMerge over PairOrder(a, b);
+  /// validated against ReferenceSpGemm in the test suite. InvalidArgument
+  /// when a.cols() != b.rows().
   Result<sparse::CsrMatrix> Compute(const sparse::CsrMatrix& a,
                                     const sparse::CsrMatrix& b,
                                     ExecContext* ctx = nullptr) const;
 
  protected:
-  virtual Result<SpGemmPlan> PlanImpl(const sparse::CsrMatrix& a,
-                                      const sparse::CsrMatrix& b,
-                                      const gpusim::DeviceSpec& device,
-                                      ExecContext* ctx) const = 0;
+  /// The algorithm's cost model: the kernels it would launch over
+  /// `workload` and its modeled host seconds. Plan fills flops and
+  /// output_nnz afterwards.
+  virtual SpGemmPlan PlanImpl(const Workload& workload,
+                              const gpusim::DeviceSpec& device,
+                              ExecContext* ctx) const = 0;
 
-  virtual Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
-                                                const sparse::CsrMatrix& b,
-                                                ExecContext* ctx) const = 0;
+  /// The pair dispatch order of the host kernel (see ExpandMerge); the
+  /// default, an empty order, is the natural row-product order. Called
+  /// with operands whose shapes already match.
+  virtual std::vector<sparse::Index> PairOrder(const sparse::CsrMatrix& a,
+                                               const sparse::CsrMatrix& b,
+                                               ExecContext* ctx) const;
 };
 
 /// Simulates `algorithm` on `device` and returns the timing profile. With

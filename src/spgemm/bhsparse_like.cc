@@ -1,10 +1,7 @@
-#include <algorithm>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "spgemm/algorithm.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 #include "spgemm/row_product.h"
 #include "spgemm/workload_model.h"
@@ -15,7 +12,6 @@ namespace spgemm {
 namespace {
 
 using gpusim::KernelDesc;
-using sparse::CsrMatrix;
 
 /// Surrogate for bhSPARSE (Liu & Vinter, IPDPS'14): a row-product scheme
 /// that bins output rows by their upper-bound work so each bin runs a
@@ -29,25 +25,13 @@ class BhsparseLikeSpGemm : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "bhSPARSE"; }
 
-  Result<SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
-                              const gpusim::DeviceSpec&,
-                              ExecContext*) const override {
-    if (a.cols() != b.rows()) {
-      return Status::InvalidArgument("dimension mismatch in bhSPARSE plan");
-    }
-    Workload workload = BuildWorkload(a, b);
+  SpGemmPlan PlanImpl(const Workload& workload, const gpusim::DeviceSpec&,
+                      ExecContext*) const override {
     SpGemmPlan plan;
-    plan.flops = workload.flops;
-    plan.output_nnz = workload.output_nnz;
 
     // Bin rows by work: sorting by C-hat population puts similar rows in
     // the same warp, which is exactly what per-bin kernels achieve.
-    std::vector<int64_t> order(workload.row_chat.size());
-    std::iota(order.begin(), order.end(), int64_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](int64_t x, int64_t y) {
-      return workload.row_chat[static_cast<size_t>(x)] <
-             workload.row_chat[static_cast<size_t>(y)];
-    });
+    const std::vector<int64_t> order = RowsByChat(workload);
 
     // Overflow rows (beyond the largest bin) pay the global-memory merge
     // path: their traffic is re-streamed once more. Model by inflating
@@ -87,11 +71,6 @@ class BhsparseLikeSpGemm : public SpGemmAlgorithm {
     plan.host_seconds = HostPreprocessSeconds(
         static_cast<int64_t>(workload.row_chat.size()), 0);
     return plan;
-  }
-
-  Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext* ctx) const override {
-    return ExpandMerge(a, b, {}, ctx);
   }
 };
 

@@ -3,7 +3,6 @@
 
 #include "common/math_util.h"
 #include "spgemm/algorithm.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 #include "spgemm/row_product.h"
 #include "spgemm/workload_model.h"
@@ -14,7 +13,6 @@ namespace spgemm {
 namespace {
 
 using gpusim::KernelDesc;
-using sparse::CsrMatrix;
 
 /// Surrogate for NVIDIA cuSPARSE csrgemm: a two-phase row-product — a
 /// symbolic pass computes the output structure, then a numeric pass
@@ -26,16 +24,9 @@ class CusparseLikeSpGemm : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "cuSPARSE"; }
 
-  Result<SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
-                              const gpusim::DeviceSpec&,
-                              ExecContext*) const override {
-    if (a.cols() != b.rows()) {
-      return Status::InvalidArgument("dimension mismatch in cuSPARSE plan");
-    }
-    const Workload workload = BuildWorkload(a, b);
+  SpGemmPlan PlanImpl(const Workload& workload, const gpusim::DeviceSpec&,
+                      ExecContext*) const override {
     SpGemmPlan plan;
-    plan.flops = workload.flops;
-    plan.output_nnz = workload.output_nnz;
 
     // Symbolic pass: indices only (roughly 1/3 of the element payload),
     // tiny writes (per-row counters).
@@ -88,13 +79,6 @@ class CusparseLikeSpGemm : public SpGemmAlgorithm {
     // The library has no user-visible preprocessing; just buffer setup.
     plan.host_seconds = HostPreprocessSeconds(0, 0);
     return plan;
-  }
-
-  Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext* ctx) const override {
-    // Functionally the two-phase scheme produces the plain product; the
-    // shared kernel in natural order expands row by row the same way.
-    return ExpandMerge(a, b, {}, ctx);
   }
 };
 

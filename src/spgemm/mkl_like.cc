@@ -2,7 +2,6 @@
 #include <memory>
 
 #include "spgemm/algorithm.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 #include "spgemm/workload_model.h"
 
@@ -10,8 +9,6 @@ namespace spnet {
 namespace spgemm {
 
 namespace {
-
-using sparse::CsrMatrix;
 
 // System 1 host of Table I: Xeon E5-2640v4, 10 cores / 20 threads.
 constexpr double kCores = 10.0;
@@ -30,16 +27,9 @@ class MklLikeSpGemm : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "MKL"; }
 
-  Result<SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
-                              const gpusim::DeviceSpec&,
-                              ExecContext*) const override {
-    if (a.cols() != b.rows()) {
-      return Status::InvalidArgument("dimension mismatch in MKL plan");
-    }
-    const Workload workload = BuildWorkload(a, b);
+  SpGemmPlan PlanImpl(const Workload& workload, const gpusim::DeviceSpec&,
+                      ExecContext*) const override {
     SpGemmPlan plan;
-    plan.flops = workload.flops;
-    plan.output_nnz = workload.output_nnz;
 
     // Compute roofline: one multiply-accumulate per intermediate product
     // across the cores (the symbolic pass rides the caches warmed here).
@@ -57,11 +47,6 @@ class MklLikeSpGemm : public SpGemmAlgorithm {
 
     plan.host_seconds = std::max(compute_seconds, memory_seconds) + 30e-6;
     return plan;  // no device kernels
-  }
-
-  Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext* ctx) const override {
-    return ExpandMerge(a, b, {}, ctx);
   }
 };
 

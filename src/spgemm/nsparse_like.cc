@@ -2,7 +2,6 @@
 #include <memory>
 
 #include "spgemm/algorithm.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 #include "spgemm/row_product.h"
 #include "spgemm/workload_model.h"
@@ -14,7 +13,6 @@ namespace {
 
 using gpusim::KernelDesc;
 using gpusim::ThreadBlockDesc;
-using sparse::CsrMatrix;
 
 // Rows whose output fits a shared-memory hash table (entries).
 constexpr int64_t kSharedHashEntries = 4096;
@@ -30,16 +28,9 @@ class NsparseLike : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "nsparse-hash"; }
 
-  Result<SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
-                              const gpusim::DeviceSpec&,
-                              ExecContext*) const override {
-    if (a.cols() != b.rows()) {
-      return Status::InvalidArgument("dimension mismatch in nsparse plan");
-    }
-    const Workload workload = BuildWorkload(a, b);
+  SpGemmPlan PlanImpl(const Workload& workload, const gpusim::DeviceSpec&,
+                      ExecContext*) const override {
     SpGemmPlan plan;
-    plan.flops = workload.flops;
-    plan.output_nnz = workload.output_nnz;
 
     // Fused expansion+merge: build per-row blocks directly. Shared-hash
     // rows write only the final output; global-hash rows pay RMW traffic
@@ -90,13 +81,6 @@ class NsparseLike : public SpGemmAlgorithm {
 
     plan.host_seconds = HostPreprocessSeconds(0, 0);
     return plan;
-  }
-
-  Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext* ctx) const override {
-    // A hash-accumulated product equals the plain product; the host path
-    // shares the row-centric structure.
-    return ExpandMerge(a, b, {}, ctx);
   }
 };
 

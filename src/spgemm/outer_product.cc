@@ -1,6 +1,9 @@
 #include "spgemm/outer_product.h"
 
-#include "spgemm/functional.h"
+#include <memory>
+#include <string>
+
+#include "spgemm/algorithm.h"
 #include "spgemm/plan.h"
 
 namespace spnet {
@@ -8,7 +11,6 @@ namespace spgemm {
 
 using gpusim::KernelDesc;
 using gpusim::Phase;
-using sparse::CsrMatrix;
 
 KernelDesc BuildOuterProductExpansion(const Workload& workload,
                                       int block_size) {
@@ -28,35 +30,36 @@ KernelDesc BuildOuterProductExpansion(const Workload& workload,
   return kernel;
 }
 
-Result<SpGemmPlan> OuterProductSpGemm::PlanImpl(const CsrMatrix& a,
-                                                const CsrMatrix& b,
-                                                const gpusim::DeviceSpec&,
-                                                ExecContext*) const {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument("dimension mismatch in outer-product plan");
-  }
-  const Workload workload = BuildWorkload(a, b);
+namespace {
 
-  SpGemmPlan plan;
-  plan.flops = workload.flops;
-  plan.output_nnz = workload.output_nnz;
-  plan.kernels.push_back(BuildOuterProductExpansion(workload, 256));
-  MergeOptions merge;
-  for (KernelDesc& k : BuildMergeKernels(workload, merge)) {
-    plan.kernels.push_back(std::move(k));
-  }
-  // Outer product needs the row-wise C-hat prefix sums (relocation
-  // cursors) before expansion; the scan is device-side, the setup is host.
-  plan.host_seconds =
-      HostPreprocessSeconds(static_cast<int64_t>(workload.pair_work.size()), 0);
-  return plan;
-}
+/// The outer-product (column-row product) baseline the Block Reorganizer
+/// builds on: pair i = (column i of A) x (row i of B) forms one thread
+/// block, so every thread in a block does identical work (perfect
+/// thread-level balance) — but block-level workloads vary wildly on
+/// power-law data, creating the overloaded/underloaded block problem the
+/// paper analyzes in Section III.
+class OuterProductSpGemm : public SpGemmAlgorithm {
+ public:
+  std::string name() const override { return "outer-product"; }
 
-Result<CsrMatrix> OuterProductSpGemm::ComputeImpl(const CsrMatrix& a,
-                                                  const CsrMatrix& b,
-                                                  ExecContext* ctx) const {
-  return ExpandMerge(a, b, {}, ctx);
-}
+ protected:
+  SpGemmPlan PlanImpl(const Workload& workload, const gpusim::DeviceSpec&,
+                      ExecContext*) const override {
+    SpGemmPlan plan;
+    plan.kernels.push_back(BuildOuterProductExpansion(workload, 256));
+    MergeOptions merge;
+    for (KernelDesc& k : BuildMergeKernels(workload, merge)) {
+      plan.kernels.push_back(std::move(k));
+    }
+    // Outer product needs the row-wise C-hat prefix sums (relocation
+    // cursors) before expansion; the scan is device-side, the setup host.
+    plan.host_seconds = HostPreprocessSeconds(
+        static_cast<int64_t>(workload.pair_work.size()), 0);
+    return plan;
+  }
+};
+
+}  // namespace
 
 std::unique_ptr<SpGemmAlgorithm> MakeOuterProduct() {
   return std::make_unique<OuterProductSpGemm>();

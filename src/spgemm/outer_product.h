@@ -1,32 +1,10 @@
 #ifndef SPNET_SPGEMM_OUTER_PRODUCT_H_
 #define SPNET_SPGEMM_OUTER_PRODUCT_H_
 
-#include "spgemm/algorithm.h"
 #include "spgemm/workload_model.h"
 
 namespace spnet {
 namespace spgemm {
-
-/// The outer-product (column-row product) baseline the Block Reorganizer
-/// builds on: pair i = (column i of A) x (row i of B) forms one thread
-/// block, so every thread in a block does identical work (perfect
-/// thread-level balance) — but block-level workloads vary wildly on
-/// power-law data, creating the overloaded/underloaded block problem the
-/// paper analyzes in Section III.
-class OuterProductSpGemm : public SpGemmAlgorithm {
- public:
-  std::string name() const override { return "outer-product"; }
-
- protected:
-  Result<SpGemmPlan> PlanImpl(const sparse::CsrMatrix& a,
-                              const sparse::CsrMatrix& b,
-                              const gpusim::DeviceSpec& device,
-                              ExecContext* ctx) const override;
-
-  Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
-                                        const sparse::CsrMatrix& b,
-                                        ExecContext* ctx) const override;
-};
 
 /// Builds the plain outer-product expansion kernel: one block per nonzero
 /// pair, no reorganization.

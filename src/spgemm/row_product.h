@@ -1,31 +1,13 @@
 #ifndef SPNET_SPGEMM_ROW_PRODUCT_H_
 #define SPNET_SPGEMM_ROW_PRODUCT_H_
 
-#include "spgemm/algorithm.h"
+#include <cstdint>
+#include <vector>
+
 #include "spgemm/workload_model.h"
 
 namespace spnet {
 namespace spgemm {
-
-/// The paper's main baseline: row-product expansion (one thread per output
-/// row, thread t expands row t's partial products) followed by the
-/// Gustavson dense-accumulator merge. Thread-level load imbalance inside a
-/// warp is this scheme's weakness on power-law data: a warp's lanes run in
-/// lock-step, so every lane waits for the hub row.
-class RowProductSpGemm : public SpGemmAlgorithm {
- public:
-  std::string name() const override { return "row-product"; }
-
- protected:
-  Result<SpGemmPlan> PlanImpl(const sparse::CsrMatrix& a,
-                              const sparse::CsrMatrix& b,
-                              const gpusim::DeviceSpec& device,
-                              ExecContext* ctx) const override;
-
-  Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
-                                        const sparse::CsrMatrix& b,
-                                        ExecContext* ctx) const override;
-};
 
 /// Knobs for the row-product expansion kernel builder, used to express
 /// the library surrogates' structural differences.
@@ -49,6 +31,11 @@ struct RowExpansionOptions {
 /// Builds the row-product expansion kernel over `workload`.
 gpusim::KernelDesc BuildRowProductExpansion(const Workload& workload,
                                             const RowExpansionOptions& options);
+
+/// Output rows stably sorted by C-hat population (`row_chat`), the row
+/// order of the binned and chunked row-product surrogates: similar rows
+/// land in the same warp.
+std::vector<int64_t> RowsByChat(const Workload& workload);
 
 }  // namespace spgemm
 }  // namespace spnet

@@ -352,7 +352,8 @@ ThreadBlockDesc MakePairBlock(const PairBlockParams& p) {
 
 void AppendBalancedStreamingBlocks(KernelDesc* kernel, int64_t total_elements,
                                    int64_t bytes_per_element,
-                                   double ops_per_element) {
+                                   double ops_per_element,
+                                   int64_t shared_mem_bytes) {
   constexpr int64_t kTileElements = 8192;
   if (total_elements <= 0) return;
   const int64_t tiles = CeilDiv(total_elements, kTileElements);
@@ -369,7 +370,7 @@ void AppendBalancedStreamingBlocks(KernelDesc* kernel, int64_t total_elements,
     tb.useful_lane_ops = tb.crit_ops * 256;
     tb.bytes_read = elems * bytes_per_element;
     tb.bytes_written = elems * bytes_per_element;
-    tb.shared_mem_bytes = 4096;
+    tb.shared_mem_bytes = shared_mem_bytes;
     kernel->blocks.push_back(tb);
   }
 }

@@ -84,12 +84,13 @@ double HostPreprocessSeconds(int64_t scanned_pairs, int64_t copied_elements);
 
 /// Appends perfectly balanced streaming blocks (256 threads, full warps)
 /// that collectively read and write `total_elements * bytes_per_element`,
-/// `ops_per_element` ops each — the shape of scan/sort/precalculation
-/// passes.
+/// `ops_per_element` ops each, with `shared_mem_bytes` of shared memory
+/// per block — the shape of scan/sort/precalculation passes.
 void AppendBalancedStreamingBlocks(gpusim::KernelDesc* kernel,
                                    int64_t total_elements,
                                    int64_t bytes_per_element,
-                                   double ops_per_element);
+                                   double ops_per_element,
+                                   int64_t shared_mem_bytes = 4096);
 
 }  // namespace spgemm
 }  // namespace spnet

@@ -17,6 +17,7 @@
 #include "core/workload_classifier.h"
 #include "datasets/generators.h"
 #include "spgemm/algorithm.h"
+#include "spgemm/algorithm_registry.h"
 #include "spgemm/functional.h"
 #include "sparse/reference_spgemm.h"
 #include "sparse/stats.h"
@@ -336,12 +337,23 @@ TEST(FunctionalTest, ChatOffsetsRefuseUnaddressableTotals) {
 }
 
 TEST(FunctionalTest, DimensionMismatchRejectedEverywhere) {
+  // The shape check lives in the shared Plan/Compute skeleton, so it must
+  // hold for every registered algorithm, ablations and extensions too.
+  core::RegisterCoreAlgorithms();
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  const std::vector<std::string> names = registry.Names();
+  EXPECT_EQ(names.size(), 12u);
   const CsrMatrix a = testing_util::RandomMatrix(10, 12, 0.3, 1);
   const CsrMatrix b = testing_util::RandomMatrix(10, 12, 0.3, 2);
-  for (const auto& alg : core::MakeAllAlgorithms()) {
-    EXPECT_FALSE(alg->Compute(a, b).ok()) << alg->name();
-    EXPECT_FALSE(alg->Plan(a, b, gpusim::DeviceSpec::TitanXp()).ok())
-        << alg->name();
+  for (const std::string& name : names) {
+    auto alg = registry.Create(name);
+    ASSERT_TRUE(alg.ok()) << name;
+    EXPECT_EQ((*alg)->Compute(a, b).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+    EXPECT_EQ((*alg)->Plan(a, b, gpusim::DeviceSpec::TitanXp()).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
   }
 }
 

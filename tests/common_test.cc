@@ -214,5 +214,26 @@ TEST(FlagsTest, IntegerParsing) {
   EXPECT_EQ(flags.GetInt("neg", 0), -5);
 }
 
+TEST(FlagsTest, CheckAllReadNamesTheFirstUnreadFlag) {
+  const char* argv[] = {"prog",     "pos",      "--scale=8", "--zeta",
+                        "1",        "--beta=2", "--trace"};
+  FlagParser flags;
+  ASSERT_TRUE(flags.Parse(7, argv).ok());
+  EXPECT_EQ(flags.CheckAllRead().code(), StatusCode::kInvalidArgument);
+  // Looking a flag up counts as reading it, whatever accessor or default
+  // is used; names that were not given never count against the parser.
+  EXPECT_EQ(flags.GetInt("scale", 14), 8);
+  EXPECT_FALSE(flags.Has("absent"));
+  EXPECT_TRUE(flags.Has("trace"));
+  const Status unread = flags.CheckAllRead();
+  EXPECT_EQ(unread.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unread.message().find("--beta"), std::string::npos)
+      << unread.ToString();
+  EXPECT_DOUBLE_EQ(flags.GetDouble("beta", 0.0), 2.0);
+  EXPECT_NE(flags.CheckAllRead().message().find("--zeta"), std::string::npos);
+  EXPECT_EQ(flags.GetString("zeta", ""), "1");
+  EXPECT_TRUE(flags.CheckAllRead().ok());
+}
+
 }  // namespace
 }  // namespace spnet

@@ -42,14 +42,6 @@ TEST_P(ExtensionAlgorithmTest, PlanAndMeasure) {
   EXPECT_GT(m->total_seconds, 0.0);
 }
 
-TEST_P(ExtensionAlgorithmTest, RejectsDimensionMismatch) {
-  const auto alg = Make();
-  const CsrMatrix a = testing_util::RandomMatrix(8, 9, 0.4, 1);
-  const CsrMatrix b = testing_util::RandomMatrix(8, 9, 0.4, 2);
-  EXPECT_FALSE(alg->Compute(a, b).ok());
-  EXPECT_FALSE(alg->Plan(a, b, gpusim::DeviceSpec::TitanXp()).ok());
-}
-
 INSTANTIATE_TEST_SUITE_P(BothExtensions, ExtensionAlgorithmTest,
                          ::testing::Values(0, 1),
                          [](const ::testing::TestParamInfo<int>& param_info) {

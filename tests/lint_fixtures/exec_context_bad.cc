@@ -1,4 +1,4 @@
-// Fixture: exec-context-threading must fire on PlanImpl/ComputeImpl
+// Fixture: exec-context-threading must fire on PlanImpl/PairOrder
 // overrides that drop the ExecContext parameter.
 #include "spgemm/algorithm.h"
 
@@ -6,12 +6,11 @@ namespace spnet {
 
 class BadAlgorithm : public spgemm::SpGemmAlgorithm {
  private:
-  Result<spgemm::SpGemmPlan> PlanImpl(
-      const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
-      const gpusim::DeviceSpec& device) const override;
+  spgemm::SpGemmPlan PlanImpl(const spgemm::Workload& workload,
+                              const gpusim::DeviceSpec& device) const override;
 
-  Result<spgemm::SpGemmMeasurement> ComputeImpl(
-      const spgemm::SpGemmPlan& plan) const override;
+  std::vector<sparse::Index> PairOrder(
+      const sparse::CsrMatrix& a, const sparse::CsrMatrix& b) const override;
 };
 
 }  // namespace spnet

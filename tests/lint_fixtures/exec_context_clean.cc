@@ -6,22 +6,21 @@ namespace spnet {
 
 class GoodAlgorithm : public spgemm::SpGemmAlgorithm {
  private:
-  Result<spgemm::SpGemmPlan> PlanImpl(const sparse::CsrMatrix& a,
-                                      const sparse::CsrMatrix& b,
-                                      const gpusim::DeviceSpec& device,
-                                      spgemm::ExecContext* ctx) const override;
+  spgemm::SpGemmPlan PlanImpl(const spgemm::Workload& workload,
+                              const gpusim::DeviceSpec& device,
+                              spgemm::ExecContext* ctx) const override;
 
-  Result<spgemm::SpGemmMeasurement> ComputeImpl(
-      const spgemm::SpGemmPlan& plan,
+  std::vector<sparse::Index> PairOrder(
+      const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
       spgemm::ExecContext* ctx) const override {
-    return DoCompute(plan, ctx);
+    return DispatchOrder(a, b, ctx);
   }
 };
 
-Result<spgemm::SpGemmPlan> Dispatch(const GoodAlgorithm& algorithm) {
+spgemm::SpGemmPlan Dispatch(const GoodAlgorithm& algorithm) {
   // A call site: the arguments name no types, and nothing trailing marks
   // it as a declaration.
-  return PlanImpl(a, b, device, ctx);
+  return PlanImpl(workload, device, ctx);
 }
 
 }  // namespace spnet

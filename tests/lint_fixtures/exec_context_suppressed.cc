@@ -6,9 +6,8 @@ namespace spnet {
 class LegacyAlgorithm : public spgemm::SpGemmAlgorithm {
  private:
   // spnet-lint: allow(exec-context-threading)
-  Result<spgemm::SpGemmPlan> PlanImpl(
-      const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
-      const gpusim::DeviceSpec& device) const override;
+  spgemm::SpGemmPlan PlanImpl(const spgemm::Workload& workload,
+                              const gpusim::DeviceSpec& device) const override;
 };
 
 }  // namespace spnet

@@ -446,30 +446,45 @@ TEST(ExecContextTest, MetricsDeterministicAcrossThreadCounts) {
 }
 
 TEST(ExecContextTest, MeasureRecordsSpansAndPoolCounters) {
-  SetGlobalThreadCount(2);
   const sparse::CsrMatrix a = testing_util::RandomMatrix(80, 80, 0.05, 3);
-  spgemm::ExecContext ctx;
-  const auto outer = spgemm::MakeOuterProduct();
-  auto m = spgemm::Measure(*outer, a, a, gpusim::DeviceSpec::TitanXp(), &ctx);
-  SetGlobalThreadCount(0);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  // A baseline and the reorganizer: the workload build is traced by the
+  // shared Plan skeleton, not by either algorithm.
+  std::vector<std::unique_ptr<spgemm::SpGemmAlgorithm>> algorithms;
+  algorithms.push_back(spgemm::MakeOuterProduct());
+  algorithms.push_back(std::make_unique<core::BlockReorganizerSpGemm>());
+  for (const auto& alg : algorithms) {
+    SCOPED_TRACE(alg->name());
+    SetGlobalThreadCount(2);
+    spgemm::ExecContext ctx;
+    auto m = spgemm::Measure(*alg, a, a, gpusim::DeviceSpec::TitanXp(), &ctx);
+    SetGlobalThreadCount(0);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
 
-  std::vector<std::string> names;
-  for (const auto& span : ctx.trace.spans()) names.push_back(span.name);
-  ASSERT_FALSE(names.empty());
-  EXPECT_EQ(names.front(), "measure:" + outer->name());
-  EXPECT_NE(std::find(names.begin(), names.end(), "plan:" + outer->name()),
-            names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "simulate"), names.end());
-  // The plan span nests inside the measure span.
-  EXPECT_EQ(ctx.trace.spans()[1].parent, 0);
+    const auto& spans = ctx.trace.spans();
+    std::vector<std::string> names;
+    for (const auto& span : spans) names.push_back(span.name);
+    ASSERT_FALSE(names.empty());
+    EXPECT_EQ(names.front(), "measure:" + alg->name());
+    const auto plan =
+        std::find(names.begin(), names.end(), "plan:" + alg->name());
+    ASSERT_NE(plan, names.end());
+    EXPECT_NE(std::find(names.begin(), names.end(), "simulate"), names.end());
+    // The plan span nests inside the measure span, and the workload build
+    // inside the plan span.
+    EXPECT_EQ(spans[1].parent, 0);
+    const auto workload =
+        std::find(names.begin(), names.end(), "build-workload");
+    ASSERT_NE(workload, names.end());
+    EXPECT_EQ(spans[static_cast<size_t>(workload - names.begin())].parent,
+              plan - names.begin());
 
-  const auto snapshot = ctx.registry.Snapshot();
-  // Pool counters published once (outermost scope only), so chunks_run
-  // reflects real work, not a double count.
-  ASSERT_TRUE(snapshot.count("pool.chunks_run"));
-  EXPECT_GT(snapshot.at("sim.kernels_run"), 0.0);
-  EXPECT_GT(snapshot.at("measure.total_seconds"), 0.0);
+    const auto snapshot = ctx.registry.Snapshot();
+    // Pool counters published once (outermost scope only), so chunks_run
+    // reflects real work, not a double count.
+    ASSERT_TRUE(snapshot.count("pool.chunks_run"));
+    EXPECT_GT(snapshot.at("sim.kernels_run"), 0.0);
+    EXPECT_GT(snapshot.at("measure.total_seconds"), 0.0);
+  }
 }
 
 TEST(ExecContextTest, ToJsonParsesBack) {

@@ -27,7 +27,9 @@
 // container; anything else is treated as Matrix Market. Every command
 // accepts --threads=<n> to size the host thread pool (default: hardware
 // concurrency). Algorithm names come from spgemm::AlgorithmRegistry; pass
-// a bogus --algorithm to have the error list them.
+// a bogus --algorithm to have the error list them. A command that succeeds
+// but was given a flag it never read (a typo, or a flag another command
+// takes) exits 2 naming that flag.
 //
 // batch executes a manifest of queries (one "<dataset-or-path> [algorithm]
 // [repeat]" per line, '#' comments) concurrently through the
@@ -496,14 +498,7 @@ int Usage() {
   return 2;
 }
 
-int Run(int argc, char** argv) {
-  FlagParser flags;
-  if (!flags.Parse(argc, argv).ok()) return Usage();
-  if (flags.positional().empty()) return Usage();
-  // Host threads for the functional stack (0 = hardware concurrency);
-  // every command funnels through the same expansion/merge engines.
-  SetGlobalThreadCount(static_cast<int>(flags.GetInt("threads", 0)));
-  const std::string& command = flags.positional()[0];
+int RunCommand(const std::string& command, const FlagParser& flags) {
   if (command == "multiply") return CmdMultiply(flags);
   if (command == "profile") return CmdProfile(flags);
   if (command == "classify") return CmdClassify(flags);
@@ -512,6 +507,25 @@ int Run(int argc, char** argv) {
   if (command == "convert") return CmdConvert(flags);
   if (command == "generate") return CmdGenerate(flags);
   return Usage();
+}
+
+int Run(int argc, char** argv) {
+  FlagParser flags;
+  if (!flags.Parse(argc, argv).ok()) return Usage();
+  if (flags.positional().empty()) return Usage();
+  // Host threads for the functional stack (0 = hardware concurrency);
+  // every command funnels through the same expansion/merge engines.
+  SetGlobalThreadCount(static_cast<int>(flags.GetInt("threads", 0)));
+  const int code = RunCommand(flags.positional()[0], flags);
+  // A failed command may stop before reading its later flags, so only a
+  // successful one vouches for every flag it was given.
+  if (code != 0) return code;
+  const Status all_read = flags.CheckAllRead();
+  if (!all_read.ok()) {
+    std::fprintf(stderr, "error: %s\n", all_read.ToString().c_str());
+    return 2;
+  }
+  return 0;
 }
 
 }  // namespace

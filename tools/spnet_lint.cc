@@ -5,7 +5,7 @@
 // understood, so rules never fire inside them) and enforces the project
 // rules described in DESIGN.md §lint. Exit status: 0 when clean, 1 when
 // any error-severity finding survives suppression (or any warning under
-// --werror), 2 on usage/IO problems.
+// --werror), 2 on usage/IO problems (an unknown flag included).
 //
 // Usage:
 //   spnet_lint [--werror] [--list-rules] [--json_out <path>]
@@ -56,8 +56,18 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  if (flags.GetBool("list-rules", false) ||
-      flags.GetBool("list_rules", false)) {
+  const bool list_rules = flags.GetBool("list-rules", false);
+  const bool list_rules_alias = flags.GetBool("list_rules", false);
+  const bool werror = flags.GetBool("werror", false);
+  const std::string json_out = flags.GetString("json_out", "");
+  const std::string graph_out = flags.GetString("graph_out", "");
+  const spnet::Status all_read = flags.CheckAllRead();
+  if (!all_read.ok()) {
+    std::fprintf(stderr, "spnet_lint: %s\n", all_read.ToString().c_str());
+    PrintUsage();
+    return 2;
+  }
+  if (list_rules || list_rules_alias) {
     PrintRules();
     return 0;
   }
@@ -77,7 +87,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n",
                  spnet::lint::FormatDiagnostic(diagnostic).c_str());
   }
-  const std::string json_out = flags.GetString("json_out", "");
   if (!json_out.empty()) {
     const spnet::Status written = spnet::metrics::WriteTextFile(
         json_out, spnet::lint::FindingsJson(*summary) + "\n");
@@ -86,7 +95,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const std::string graph_out = flags.GetString("graph_out", "");
   if (!graph_out.empty()) {
     const spnet::Status written = spnet::metrics::WriteTextFile(
         graph_out, summary->graph_json + "\n");
@@ -95,7 +103,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool werror = flags.GetBool("werror", false);
   const int effective_errors =
       summary->errors + (werror ? summary->warnings : 0);
   std::fprintf(stderr, "spnet_lint: %d file%s, %d error%s, %d warning%s\n",

@@ -24,6 +24,8 @@
 //               [--device titanxp|v100|2080ti] [--threads N]
 //               [--metrics_out stats.json]
 //
+// An unknown flag is rejected before the daemon starts (exit 2).
+//
 // Shutdown: EOF on stdin or SIGTERM/SIGINT begins a graceful drain — no
 // new requests are admitted, queued and in-flight requests finish and
 // their responses are written, then the daemon flushes --metrics_out (the
@@ -134,10 +136,18 @@ int Run(int argc, char** argv) {
                          "(see the header comment of tools/spnet_serve.cc)\n");
     return 2;
   }
-  SetGlobalThreadCount(static_cast<int>(flags.GetInt("threads", 0)));
+  const int threads = static_cast<int>(flags.GetInt("threads", 0));
+  serve::ServeOptions options = OptionsFromFlags(flags);
+  const std::string metrics_out = flags.GetString("metrics_out", "");
+  const Status all_read = flags.CheckAllRead();
+  if (!all_read.ok()) {
+    std::fprintf(stderr, "error: %s\n", all_read.ToString().c_str());
+    return 2;
+  }
+  SetGlobalThreadCount(threads);
   InstallSignalHandlers();
 
-  serve::Server server(OptionsFromFlags(flags));
+  serve::Server server(std::move(options));
   const Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
@@ -193,7 +203,6 @@ int Run(int argc, char** argv) {
                static_cast<long long>(server.in_flight()));
   server.Drain();
 
-  const std::string metrics_out = flags.GetString("metrics_out", "");
   if (!metrics_out.empty()) {
     const Status written =
         metrics::WriteTextFile(metrics_out, server.StatsJson() + "\n");
